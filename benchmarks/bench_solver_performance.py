@@ -1,41 +1,15 @@
 """Ablation — exact-solver engineering choices.
 
-Two ablations called out in DESIGN.md:
-
-* the arithmetic unary encoding vs the generic string solver on the same
-  decision (a^12 ≡₂ a^14);
-* the candidate-pool optimiser vs the naive evaluator on φ_fib model
-  checking (the optimisation that makes E05 feasible).
+The ablation called out in DESIGN.md: the candidate-pool optimiser vs
+the naive evaluator on φ_fib model checking (the optimisation that makes
+E05 feasible).
 """
 
-import pytest
-
 from benchmarks.reporting import print_banner, print_table
-from repro.ef.solver import GameSolver
-from repro.ef.unary import UnaryGameSolver
 from repro.fc.builders import phi_fib
 from repro.fc.semantics import evaluate, evaluate_naive
-from repro.fc.structures import WordStructure, word_structure
+from repro.fc.structures import word_structure
 from repro.words.fibonacci import l_fib_word
-
-
-def test_unary_solver(benchmark):
-    def decide():
-        return UnaryGameSolver(12, 14).duplicator_wins(2)
-
-    result = benchmark(decide)
-    assert result is True
-
-
-def test_generic_solver(benchmark):
-    def decide():
-        solver = GameSolver(
-            WordStructure("a" * 12, "a"), WordStructure("a" * 14, "a")
-        )
-        return solver.duplicator_wins(2)
-
-    result = benchmark(decide)
-    assert result is True
 
 
 PHI_FIB = phi_fib()
@@ -58,12 +32,11 @@ def test_naive_model_checking(benchmark):
 def test_report_envelope():
     print_banner(
         "Ablation summary",
-        "unary-int encoding and candidate pools vs their naive twins",
+        "candidate pools vs the naive evaluator",
     )
     print_table(
         ["component", "naive scope", "optimised scope"],
         [
-            ["≡₂ on a^12 vs a^14", "seconds (strings)", "sub-second (ints)"],
             [
                 "φ_fib model check",
                 "length ≤ 10 words",

@@ -7,8 +7,11 @@
 Run:  python examples/quickstart.py
 """
 
-from repro.ef.equivalence import distinguishing_rank, equiv_k
-from repro.ef.unary import minimal_equivalent_pair
+from repro.ef.equivalence import (
+    distinguishing_rank,
+    equiv_k,
+    find_equivalent_unary_pair,
+)
 from repro.fc.builders import phi_no_cube, phi_vbv, phi_ww
 from repro.fc.semantics import models, satisfying_assignments
 from repro.fc.syntax import Concat, Var
@@ -41,7 +44,7 @@ def game_layer() -> None:
     )
     print("  minimal (p,q) with aᵖ ≡_k a^q per rank:")
     for k in range(3):
-        print(f"    k={k}: {minimal_equivalent_pair(k, 20)}")
+        print(f"    k={k}: {find_equivalent_unary_pair(k, max_exponent=20)}")
 
 
 def spanner_layer() -> None:

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ef.unary import minimal_equivalent_pair, unary_equiv_k
+from repro.ef.equivalence import equiv_k, find_equivalent_unary_pair
 from repro.semilinear.unary import detect_eventual_periodicity, powers_of_two
 
 __all__ = ["Pow2Witness", "pow2_witness", "pow2_semilinearity_evidence"]
 
-#: Exactly-known minimal pairs (p, q) with aᵖ ≡_k a^q, solver-verified.
-#: Recomputing them is cheap for k ≤ 1 and takes seconds for k = 2; the
-#: table lets higher layers (Pseudo-Congruence instances, witness
+#: Exactly-known minimal pairs (p, q) with aᵖ ≡_k a^q, verified with
+#: ``equiv_k``.  Recomputing them takes well under a second for k ≤ 2;
+#: the table lets higher layers (Pseudo-Congruence instances, witness
 #: generators) bootstrap instantly.  k = 3 is beyond the exact solver's
 #: feasible range (no pair exists below exponent 48; see EXPERIMENTS.md).
 KNOWN_MINIMAL_PAIRS: dict[int, tuple[int, int]] = {
@@ -52,20 +52,21 @@ def pow2_witness(
     """Return the minimal Lemma 3.6 witness for rank ``k``.
 
     Uses the precomputed table when available (optionally re-verifying the
-    equivalence with the exact solver); otherwise runs the bounded search.
-    Raises ``LookupError`` when no pair exists under ``max_exponent`` —
+    equivalence with :func:`~repro.ef.equivalence.equiv_k`); otherwise runs
+    the bounded :func:`~repro.ef.equivalence.find_equivalent_unary_pair`
+    search.  Raises ``LookupError`` when no pair exists under ``max_exponent`` —
     the lemma guarantees existence, but not within any concrete bound, and
     for k ≥ 3 the minimal pair lies beyond the exact solver's reach.
     """
     known = KNOWN_MINIMAL_PAIRS.get(k)
     if known is not None:
         p, q = known
-        if verify and not unary_equiv_k(p, q, k):
+        if verify and not equiv_k("a" * p, "a" * q, k, alphabet="a"):
             raise AssertionError(
                 f"table entry ({p}, {q}) for k={k} failed re-verification"
             )
         return Pow2Witness(k, p, q)
-    pair = minimal_equivalent_pair(k, max_exponent)
+    pair = find_equivalent_unary_pair(k, max_exponent=max_exponent)
     if pair is None:
         raise LookupError(
             f"no pair p < q ≤ {max_exponent} with a^p ≡_{k} a^q; "

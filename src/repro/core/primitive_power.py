@@ -4,7 +4,7 @@ Statement: if ``aᵖ ≡_{k+3} a^q`` then ``wᵖ ≡_k w^q`` for every primitive
 word ``w``.  As with the Pseudo-Congruence Lemma, this module wraps one
 application into an instance object that can
 
-* certify the premise with the (fast, unary) exact solver,
+* certify the premise ``aᵖ ≡_{k+3} a^q`` with the exact solver (``equiv_k``),
 * build the proof's Duplicator strategy (exp_w look-up + Lemma 4.7
   refactoring) and machine-check it against every Spoiler line,
 * cross-check the conclusion with the exact solver directly.
@@ -30,7 +30,6 @@ from repro.ef.strategies import (
     VerificationResult,
     exhaustively_verify_duplicator,
 )
-from repro.ef.unary import unary_equiv_k
 from repro.fc.structures import word_structure
 from repro.words.primitivity import is_primitive
 
@@ -60,9 +59,9 @@ class PrimitivePowerInstance:
         return self.k + 3
 
     def premise_holds(self, lookup_rounds: int | None = None) -> bool:
-        """``aᵖ ≡_n a^q`` via the fast unary solver (default n = k+3)."""
+        """``aᵖ ≡_n a^q`` via ``equiv_k`` (default n = k+3)."""
         n = self.lookup_rounds if lookup_rounds is None else lookup_rounds
-        return unary_equiv_k(self.p, self.q, n)
+        return equiv_k("a" * self.p, "a" * self.q, n, alphabet="a")
 
     def build_duplicator(
         self, lookup_rounds: int | None = None

@@ -27,12 +27,6 @@ from repro.ef.synthesis import (
     SynthesisFailure,
     synthesize_distinguishing_sentence,
 )
-from repro.ef.unary import (
-    UnaryGameSolver,
-    minimal_equivalent_pair,
-    unary_equiv_k,
-    unary_equivalence_classes,
-)
 from repro.ef.equivalence import (
     UnaryWitness,
     distinguishing_rank,
@@ -73,10 +67,6 @@ __all__ = [
     "pebble_equiv",
     "SynthesisFailure",
     "synthesize_distinguishing_sentence",
-    "UnaryGameSolver",
-    "minimal_equivalent_pair",
-    "unary_equiv_k",
-    "unary_equivalence_classes",
     "PrimitivePowerDuplicator",
     "PseudoCongruenceDuplicator",
     "boundary_split",

@@ -9,7 +9,8 @@ Also provides the witness searches the experiments revolve around:
 
 * :func:`distinguishing_rank` — the least k with ``w ≢_k v``;
 * :func:`find_equivalent_unary_pair` — the minimal (p, q), p < q, with
-  ``aᵖ ≡_k a^q`` (the executable face of Lemma 3.6).
+  ``aᵖ ≡_k a^q`` (the executable face of Lemma 3.6);
+* :func:`unary_equivalence_classes` — the ≡_k partition of ``{aⁿ}``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "equiv_k",
     "distinguishing_rank",
     "find_equivalent_unary_pair",
+    "unary_equivalence_classes",
     "UnaryWitness",
 ]
 
@@ -128,3 +130,22 @@ def find_equivalent_unary_pair(
             if equiv_k(letter * p, letter * q, k, alphabet=letter):
                 return UnaryWitness(p, q)
     return None
+
+
+def unary_equivalence_classes(k: int, max_exponent: int) -> list[list[int]]:
+    """Partition ``{0, …, max_exponent}`` into ≡_k classes of ``aⁿ``.
+
+    Exploits transitivity: each new exponent is compared against one
+    representative per known class.  The result exposes the
+    threshold-plus-congruence shape of unary ≡_k (e.g. for k = 2 the
+    classes become eventually periodic with period 2 from threshold 12).
+    """
+    classes: list[list[int]] = []
+    for n in range(max_exponent + 1):
+        for cls in classes:
+            if equiv_k("a" * cls[0], "a" * n, k, alphabet="a"):
+                cls.append(n)
+                break
+        else:
+            classes.append([n])
+    return classes

@@ -7,25 +7,56 @@ constant vectors* ⟨𝔄_w⟩ and ⟨𝔅_v⟩, form a partial isomorphism.
 
 This module provides the passive data model (moves, plays, win checking);
 the decision procedure lives in ``repro.ef.solver`` and strategy objects in
-``repro.ef.strategies``.
+``repro.ef.strategies``.  Plays are judged by the kernel's interned
+Definition 3.1 check; :meth:`Play.violation` names the violated atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from functools import cached_property
+from typing import Iterable, Iterator, Literal
 
 from repro.ef.partial_iso import (
     PartialIsoViolation,
     extend_with_constants,
     find_violation,
 )
-from repro.fc.structures import Bottom
+from repro.fc.structures import BOTTOM, Bottom, WordStructure
+from repro.kernel.efcore import PartialIsoCheck
+from repro.kernel.interning import InternTable, intern_restricted_table, intern_table
 
 __all__ = ["Side", "Move", "Round", "Play", "GameArena"]
 
 Side = Literal["A", "B"]
 Element = "str | Bottom"
+
+
+def _table_for(structure) -> InternTable:
+    """Interned view of a :class:`WordStructure` or a restriction thereof."""
+    alphabet = tuple(structure.alphabet)
+    if isinstance(structure, WordStructure):
+        return intern_table(structure.word, alphabet)
+    return intern_restricted_table(
+        structure.word, alphabet, structure.universe_factors
+    )
+
+
+def _pair_ids(check: PartialIsoCheck, pairs: Iterable) -> "list | None":
+    """Element pairs as ids of ``check``'s tables; ``None`` if an element
+    is foreign (the game never produces one: the position is lost)."""
+    table_a = check.table_a
+    table_b = check.table_b
+    try:
+        return [
+            (
+                table_a.id_for(None if element_a is BOTTOM else element_a),
+                table_b.id_for(None if element_b is BOTTOM else element_b),
+            )
+            for element_a, element_b in pairs
+        ]
+    except KeyError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -90,6 +121,13 @@ class GameArena:
     def opposite(self, side: Side) -> Side:
         return "B" if side == "A" else "A"
 
+    @cached_property
+    def partial_iso_check(self) -> PartialIsoCheck:
+        """The kernel's Definition 3.1 check over both structures."""
+        return PartialIsoCheck(
+            _table_for(self.structure_a), _table_for(self.structure_b)
+        )
+
     def moves(self) -> Iterator[Move]:
         """All Spoiler moves (both sides, whole universes)."""
         for side in ("A", "B"):
@@ -134,7 +172,8 @@ class Play:
         return tuple_a, tuple_b
 
     def violation(self) -> PartialIsoViolation | None:
-        """Check the win condition *with constants appended* (Section 3)."""
+        """The violated condition *with constants appended* (Section 3):
+        the string-level explainer behind a lost :meth:`duplicator_won`."""
         tuple_a, tuple_b = self.tuples()
         full_a, full_b = extend_with_constants(
             self.arena.structure_a, self.arena.structure_b, tuple_a, tuple_b
@@ -150,7 +189,9 @@ class Play:
         partial isomorphisms are closed under prefixes, so a violated
         partial play is already lost.
         """
-        return self.violation() is None
+        check = self.arena.partial_iso_check
+        ids = _pair_ids(check, zip(*self.tuples()))
+        return ids is not None and check.position_consistent(ids)
 
     def __len__(self) -> int:
         return len(self.rounds_played)

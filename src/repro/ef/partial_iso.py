@@ -9,8 +9,10 @@ isomorphism* between 𝔄_w and 𝔅_v if
 
 In the EF game the played elements are *combined with* the constant vectors
 ⟨𝔄⟩, ⟨𝔅⟩ before checking, so the game-facing helpers here do that
-automatically.  The check is O(n³) in the tuple length; tuples are tiny
-(k + |Σ| + 1), so this is never a bottleneck.
+automatically.  This string-level check is the reference definition:
+the oracle behind ``repro.ef.naive`` and the explainer that names the
+violated atom of a lost position.  Legality during play and search is
+decided by the kernel (``repro.kernel.efcore.PartialIsoCheck``).
 """
 
 from __future__ import annotations

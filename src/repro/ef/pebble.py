@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ef.partial_iso import extend_with_constants, find_violation
+from repro.ef.game import GameArena
 
 __all__ = ["PebbleGameSolver", "pebble_equiv", "pebble_distinguishing_rounds"]
 
@@ -27,34 +27,27 @@ class PebbleGameSolver:
     """Exact solver for the p-pebble, m-round game on two word structures.
 
     A position is a tuple of ``p`` slots, each ``None`` (pebble off the
-    board) or a pair (a-element, b-element).
+    board) or a pair of interned ids.  Legality is the kernel's Definition
+    3.1 check: the pebbles left on the board are a subset of a partial
+    isomorphism, hence one themselves, so re-placing a pebble only checks
+    the new pair against them.
     """
 
     structure_a: object
     structure_b: object
     pebbles: int
     _memo: dict = field(default_factory=dict, repr=False)
+    _orders: dict = field(default_factory=dict, repr=False)
 
-    def consistent(self, position: tuple) -> bool:
-        placed = [pair for pair in position if pair is not None]
-        tuple_a = tuple(p[0] for p in placed)
-        tuple_b = tuple(p[1] for p in placed)
-        full_a, full_b = extend_with_constants(
-            self.structure_a, self.structure_b, tuple_a, tuple_b
-        )
-        return (
-            find_violation(self.structure_a, self.structure_b, full_a, full_b)
-            is None
-        )
+    def __post_init__(self) -> None:
+        self._check = GameArena(
+            self.structure_a, self.structure_b, 0
+        ).partial_iso_check
 
-    def duplicator_wins(
-        self, rounds: int, position: tuple | None = None
-    ) -> bool:
-        if position is None:
-            position = (None,) * self.pebbles
-        if not self.consistent(position):
+    def duplicator_wins(self, rounds: int) -> bool:
+        if not self._check.position_consistent(()):
             return False
-        return self._wins(rounds, position)
+        return self._wins(rounds, (None,) * self.pebbles)
 
     def _wins(self, rounds: int, position: tuple) -> bool:
         if rounds == 0:
@@ -63,33 +56,46 @@ class PebbleGameSolver:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        result = True
-        for index in range(self.pebbles):
-            for side, structure in (("A", self.structure_a), ("B", self.structure_b)):
-                for element in structure.universe_factors:
-                    if self._response(rounds, position, index, side, element) is None:
-                        result = False
-                        break
-                if not result:
-                    break
-            if not result:
-                break
+        tables = (("A", self._check.table_a), ("B", self._check.table_b))
+        result = all(
+            self._response(rounds, position, index, side, element) is not None
+            for index in range(self.pebbles)
+            for side, table in tables
+            for element in range(1, table.n_factors + 1)
+        )
         self._memo[key] = result
         return result
 
-    def _response(self, rounds, position, index, side, element):
-        other = self.structure_b if side == "A" else self.structure_a
-        candidates = sorted(
-            other.universe_factors,
-            key=lambda d: (d != element, abs(len(d) - len(element)), d),
-        )
-        for response in candidates:
-            pair = (
-                (element, response) if side == "A" else (response, element)
+    def _responses(self, side: str, element: int) -> tuple:
+        """Ids of the other side: same factor, then length distance, text."""
+        order = self._orders.get((side, element))
+        if order is None:
+            check = self._check
+            own = check.table_a if side == "A" else check.table_b
+            other = check.table_b if side == "A" else check.table_a
+            word, texts = own.elements[element], other.elements
+            order = self._orders[(side, element)] = tuple(
+                sorted(
+                    range(1, len(texts)),
+                    key=lambda d: (
+                        texts[d] != word, abs(len(texts[d]) - len(word)), texts[d]
+                    ),
+                )
             )
-            extended = position[:index] + (pair,) + position[index + 1 :]
-            if self.consistent(extended) and self._wins(rounds - 1, extended):
-                return response
+        return order
+
+    def _response(self, rounds, position, index, side, element):
+        others = tuple(
+            pair
+            for slot, pair in enumerate(position)
+            if slot != index and pair is not None
+        )
+        for response in self._responses(side, element):
+            pair = (element, response) if side == "A" else (response, element)
+            if self._check.extends(others, *pair):
+                extended = position[:index] + (pair,) + position[index + 1 :]
+                if self._wins(rounds - 1, extended):
+                    return response
         return None
 
 

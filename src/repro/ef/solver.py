@@ -30,15 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ef.game import GameArena, Move
-from repro.fc.structures import BOTTOM, WordStructure
+from repro.ef.game import GameArena, Move, _pair_ids, _table_for
+from repro.fc.structures import BOTTOM
 from repro.kernel.efcore import KernelSolver
-from repro.kernel.interning import (
-    BOTTOM_ID,
-    InternTable,
-    intern_restricted_table,
-    intern_table,
-)
+from repro.kernel.interning import BOTTOM_ID
 from repro.store import artifacts, runtime as store_runtime
 
 __all__ = ["GameSolver", "solve_equivalence"]
@@ -50,16 +45,6 @@ _PERSIST_MIN_ENTRIES = 32
 
 Element = "str | object"
 Pair = tuple  # (a-side element, b-side element)
-
-
-def _table_for(structure) -> InternTable:
-    """Interned view of a :class:`WordStructure` or a restriction thereof."""
-    alphabet = tuple(structure.alphabet)
-    if isinstance(structure, WordStructure):
-        return intern_table(structure.word, alphabet)
-    return intern_restricted_table(
-        structure.word, alphabet, structure.universe_factors
-    )
 
 
 @dataclass
@@ -140,28 +125,6 @@ class GameSolver:
 
     # -- element translation -------------------------------------------------
 
-    def _pair_ids(self, pairs) -> "list | None":
-        """Positions as id pairs; ``None`` if any element is foreign.
-
-        An element outside its structure's universe makes the position
-        meaningless (the game never produces one); it is reported as
-        inconsistent rather than an error.
-        """
-        table_a = self._core.table_a
-        table_b = self._core.table_b
-        out = []
-        for element_a, element_b in pairs:
-            try:
-                out.append(
-                    (
-                        table_a.id_for(None if element_a is BOTTOM else element_a),
-                        table_b.id_for(None if element_b is BOTTOM else element_b),
-                    )
-                )
-            except KeyError:
-                return None
-        return out
-
     def _element(self, side: str, element_id: int):
         if element_id == BOTTOM_ID:
             return BOTTOM
@@ -172,7 +135,7 @@ class GameSolver:
 
     def consistent(self, pairs: frozenset) -> bool:
         """Is the pair set (with constants) a partial isomorphism?"""
-        ids = self._pair_ids(pairs)
+        ids = _pair_ids(self._core, pairs)
         return ids is not None and self._core.position_consistent(ids)
 
     # -- decision ------------------------------------------------------------
@@ -186,7 +149,7 @@ class GameSolver:
         when both words realise the same constants pattern; an inconsistent
         start is reported as a Spoiler win).
         """
-        ids = self._pair_ids(pairs)
+        ids = _pair_ids(self._core, pairs)
         if ids is None:
             return False
         verdict = self._core.duplicator_wins(rounds, ids)
@@ -205,7 +168,7 @@ class GameSolver:
         """
         if rounds < 1:
             raise ValueError("no rounds remaining")
-        ids = self._pair_ids(pairs)
+        ids = _pair_ids(self._core, pairs)
         if ids is None:
             return None
         move_table = (
@@ -240,7 +203,7 @@ class GameSolver:
         round count the position is equally lost one round earlier; the
         synthesiser handles that by recursing at rounds − 1.
         """
-        ids = self._pair_ids(pairs)
+        ids = _pair_ids(self._core, pairs)
         if ids is None:
             return None
         found = self._core.spoiler_winning_move(rounds, ids, skip_bottom)

@@ -50,13 +50,16 @@ _ENGINE_VERSION = "2"
 #: now carry per-shard attribution and live under plan-salted keys —
 #: results stay bit-identical, but pre-shard entries must not satisfy
 #: post-shard monolithic runs whose task functions were refactored
-#: around the shared shard helpers.
+#: around the shared shard helpers.  E19 and prim/pow2-pairs moved to
+#: "3" when the arithmetic unary solver was retired: their ≡_k checks
+#: now run on the kernel through ``repro.ef.equivalence``.
 _TASK_VERSIONS = {
     "E01": "3",
     "E02": "6",
     "E05": "7",
     "E16": "3",
     "E18": "3",
+    "E19": "3",
     "E20": "5",
     "E23": "3",
 }
@@ -1044,7 +1047,7 @@ def run_e18(
 
 
 def run_e19(pow_bound: int = 384) -> dict[str, Any]:
-    from repro.ef.unary import unary_equivalence_classes
+    from repro.ef.equivalence import unary_equivalence_classes
     from repro.semilinear.unary import detect_robust_periodicity
 
     rows = []
@@ -1363,8 +1366,8 @@ def build_default_registry() -> TaskRegistry:
         "prim/pow2-pairs",
         f"{prim}:unary_minimal_pairs",
         args={"max_rank": 2, "max_exponent": 20},
-        version=_ENGINE_VERSION,
-        description="ef.unary — minimal aᵖ ≡_k a^q pairs for k ≤ 2",
+        version="3",
+        description="ef.equivalence — minimal aᵖ ≡_k a^q pairs for k ≤ 2",
     )
     for family, param in _WITNESS_DEP_PARAMS.items():
         registry.add(

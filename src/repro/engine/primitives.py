@@ -35,10 +35,10 @@ def unary_minimal_pairs(
 
     JSON object keys are strings, so ranks are stringified.
     """
-    from repro.ef.unary import minimal_equivalent_pair
+    from repro.ef.equivalence import find_equivalent_unary_pair
 
     pairs = {
-        str(k): list(minimal_equivalent_pair(k, max_exponent=max_exponent))
+        str(k): list(find_equivalent_unary_pair(k, max_exponent=max_exponent))
         for k in range(max_rank + 1)
     }
     return {"max_exponent": max_exponent, "pairs": pairs}

@@ -1,5 +1,7 @@
 """Integer-id EF-game search: the kernel behind ``repro.ef.solver``.
 
+:class:`PartialIsoCheck` is the repository's one Definition 3.1 decision
+(the solver, game plays and pebble games all use it).
 :class:`KernelSolver` is a drop-in replacement for the naive solver's
 search, operating purely on :class:`~repro.kernel.interning.InternTable`
 ids.  It reproduces the naive solver's observable behaviour exactly —
@@ -38,7 +40,7 @@ from repro.kernel import stats as _global_stats
 from repro.kernel.automorphisms import automorphism_group
 from repro.kernel.interning import InternTable
 
-__all__ = ["KernelSolver"]
+__all__ = ["KernelSolver", "PartialIsoCheck"]
 
 #: Skip symmetry reduction when |G_A|·|G_B| exceeds this — mapping every
 #: position through thousands of permutation pairs would cost more than
@@ -59,8 +61,11 @@ _DENSE_LIMIT = 1024
 Position = "tuple[tuple[int, int], ...]"  # sorted, deduplicated id pairs
 
 
-class KernelSolver:
-    """Memoised EF-game search over a pair of interned structures."""
+class PartialIsoCheck:
+    """Definition 3.1 on two interned tables, grown one pair at a time
+    (no automorphism groups, memo or store probe)."""
+
+    _COUNTERS: tuple[str, ...] = ("consistency_checks",)
 
     def __init__(self, table_a: InternTable, table_b: InternTable) -> None:
         self.table_a = table_a
@@ -70,52 +75,9 @@ class KernelSolver:
         self._cat_a = table_a.cat
         self._cat_b = table_b.cat
         self._const_pairs = tuple(zip(table_a.const_ids, table_b.const_ids))
-        self._mirror_ab = self._mirror(table_a, table_b)
-        self._mirror_ba = self._mirror(table_b, table_a)
         self._sparse = max(self._n_a, self._n_b) > _DENSE_LIMIT
-        self._memo: dict = {}
-        self._response_order: dict = {}
-        self._runs_a: "list | None" = None
-        self._runs_b: "list | None" = None
-        self.counters = {
-            "positions_explored": 0,
-            "table_hits": 0,
-            "symmetry_cuts": 0,
-            "consistency_checks": 0,
-        }
-        self._sym = self._symmetries()
+        self.counters = {name: 0 for name in self._COUNTERS}
         self._base_ok = self._check_base()
-
-    @staticmethod
-    def _mirror(source: InternTable, target: InternTable) -> tuple[int, ...]:
-        """Per-id map to the same-string id in ``target`` (``-1`` if absent).
-
-        Entry 0 maps ⊥ to ⊥: the naive response key compares the BOTTOM
-        singleton equal to itself across structures.
-        """
-        return (
-            0,
-            *(
-                target.id_of.get(element, -1)
-                for element in source.elements[1:]
-            ),
-        )
-
-    def _symmetries(self) -> tuple:
-        """Non-identity ``(σ_A, σ_B)`` combos used for canonicalization."""
-        group_a = automorphism_group(self.table_a)
-        group_b = automorphism_group(self.table_b)
-        if len(group_a) * len(group_b) > _MAX_SYM_PRODUCT:
-            _global_stats.record("symmetry_product_skips")
-            return ()
-        identity_a = tuple(range(self._n_a + 1))
-        identity_b = tuple(range(self._n_b + 1))
-        return tuple(
-            (sigma_a, sigma_b)
-            for sigma_a in group_a
-            for sigma_b in group_b
-            if not (sigma_a == identity_a and sigma_b == identity_b)
-        )
 
     def _bump(self, name: str, amount: int = 1) -> None:
         # Advisory per-instance effort counters: engine workers run one
@@ -124,8 +86,6 @@ class KernelSolver:
         # repro-lint: allow[concurrency.shared-state-race] advisory counters
         self.counters[name] += amount
         _global_stats.record(name, amount)
-
-    # -- consistency ---------------------------------------------------------
 
     def _check_base(self) -> bool:
         """Are the constant vectors alone a partial isomorphism?"""
@@ -209,6 +169,59 @@ class KernelSolver:
     def position_consistent(self, pairs) -> bool:
         """Is the pair set (with constants) a partial isomorphism?"""
         return self._validated(pairs) is not None
+
+    def extends(self, pairs: tuple, a: int, b: int) -> bool:
+        """Does the consistent pair set ``pairs`` stay one with ``(a, b)``?"""
+        return self._check_new(self._const_pairs + pairs, a, b)
+
+
+class KernelSolver(PartialIsoCheck):
+    """Memoised EF-game search over a pair of interned structures."""
+
+    _COUNTERS = (
+        "positions_explored", "table_hits", "symmetry_cuts", "consistency_checks"
+    )
+
+    def __init__(self, table_a: InternTable, table_b: InternTable) -> None:
+        super().__init__(table_a, table_b)
+        self._mirror_ab = self._mirror(table_a, table_b)
+        self._mirror_ba = self._mirror(table_b, table_a)
+        self._memo: dict = {}
+        self._response_order: dict = {}
+        self._runs_a: "list | None" = None
+        self._runs_b: "list | None" = None
+        self._sym = self._symmetries()
+
+    @staticmethod
+    def _mirror(source: InternTable, target: InternTable) -> tuple[int, ...]:
+        """Per-id map to the same-string id in ``target`` (``-1`` if absent).
+
+        Entry 0 maps ⊥ to ⊥: the naive response key compares the BOTTOM
+        singleton equal to itself across structures.
+        """
+        return (
+            0,
+            *(
+                target.id_of.get(element, -1)
+                for element in source.elements[1:]
+            ),
+        )
+
+    def _symmetries(self) -> tuple:
+        """Non-identity ``(σ_A, σ_B)`` combos used for canonicalization."""
+        group_a = automorphism_group(self.table_a)
+        group_b = automorphism_group(self.table_b)
+        if len(group_a) * len(group_b) > _MAX_SYM_PRODUCT:
+            _global_stats.record("symmetry_product_skips")
+            return ()
+        identity_a = tuple(range(self._n_a + 1))
+        identity_b = tuple(range(self._n_b + 1))
+        return tuple(
+            (sigma_a, sigma_b)
+            for sigma_a in group_a
+            for sigma_b in group_b
+            if not (sigma_a == identity_a and sigma_b == identity_b)
+        )
 
     # -- canonicalization ----------------------------------------------------
 

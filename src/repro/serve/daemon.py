@@ -66,6 +66,7 @@ class ReproServer(socketserver.ThreadingTCPServer):
     ) -> None:
         super().__init__(address, _Handler)
         self.service = service if service is not None else QueryService()
+        self.service.preload()  # before any handler thread can race
         self.store = store
         self._previous_store: ArtifactStore | None = None
         self._stopping = False

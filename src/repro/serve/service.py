@@ -12,6 +12,7 @@ every query path funnels through ``lru_cache``/store reads.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any
 
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
@@ -20,9 +21,24 @@ from repro.store import stats as store_stats
 
 __all__ = ["QueryService"]
 
+#: Every module an op handler imports.  Handlers import on first use, so
+#: ``python -m repro`` stays light; the daemon preloads them all, since
+#: first requests of two ops arriving together race in the import system
+#: (``ImportError: … partially initialized module``).
+_OP_MODULES = (
+    "repro.ef.equivalence", "repro.fc.builders", "repro.fc.parser",
+    "repro.fc.semantics", "repro.fc.syntax", "repro.spanners",
+)
+
 
 class QueryService:
     """Answers protocol queries against the loaded reproduction stack."""
+
+    @staticmethod
+    def preload() -> None:
+        """Import every op's modules now, from the calling thread."""
+        for name in _OP_MODULES:
+            importlib.import_module(name)
 
     def dispatch(self, request: dict[str, Any]) -> Any:
         """The ``result`` payload for a validated ``request``."""

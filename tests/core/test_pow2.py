@@ -8,7 +8,7 @@ from repro.core.pow2 import (
     pow2_semilinearity_evidence,
     pow2_witness,
 )
-from repro.ef.unary import unary_equiv_k
+from repro.ef.equivalence import equiv_k
 
 
 class TestWitnessTable:
@@ -16,7 +16,7 @@ class TestWitnessTable:
     def test_table_entries_verified(self, k):
         witness = pow2_witness(k, verify=True)
         assert witness.p < witness.q
-        assert unary_equiv_k(witness.p, witness.q, k)
+        assert equiv_k(*witness.words(), k, alphabet="a")
 
     @pytest.mark.parametrize("k", sorted(KNOWN_MINIMAL_PAIRS))
     def test_table_entries_are_minimal(self, k):
@@ -24,7 +24,7 @@ class TestWitnessTable:
         # No lexicographically smaller pair is equivalent.
         for pp in range(p + 1):
             for qq in range(pp + 1, (q if pp == p else q + 1)):
-                assert not unary_equiv_k(pp, qq, k), (pp, qq, k)
+                assert not equiv_k("a" * pp, "a" * qq, k, "a"), (pp, qq, k)
 
     def test_words_helper(self):
         witness = Pow2Witness(1, 3, 4)

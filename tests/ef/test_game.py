@@ -1,9 +1,14 @@
 """Tests for game arenas and plays."""
 
+import random
+
 import pytest
 
 from repro.ef.game import GameArena, Move, Play
 from repro.fc.structures import BOTTOM, word_structure
+from repro.words.generators import words_up_to
+
+WORDS = list(words_up_to("ab", 4))
 
 
 def arena(w: str, v: str, k: int, alphabet: str = "ab") -> GameArena:
@@ -86,3 +91,31 @@ class TestPlay:
         play.record(Move("A", "ab"), "ab")
         play.record(Move("B", "ba"), "ba")
         assert play.duplicator_won()
+
+    def test_duplicator_won_matches_violation_oracle(self):
+        # The kernel's verdict must match the find_violation explainer on
+        # every prefix of seeded random plays: full and restricted
+        # structures, ⊥ moves and ⊥ responses.
+        rng = random.Random(20261017)
+        outcomes = set()
+        for _ in range(400):
+            sides = [word_structure(rng.choice(WORDS), "ab") for _ in "AB"]
+            if rng.random() < 0.4:
+                i = rng.randrange(2)
+                universe = sorted(sides[i].universe_factors)
+                sides[i] = sides[i].restrict(
+                    rng.sample(universe, rng.randint(1, len(universe)))
+                )
+            play = Play(GameArena(*sides, 3))
+            for _ in range(3):
+                side = rng.choice("AB")
+                element = rng.choice(play.arena.universe(side))
+                replies = play.arena.universe(play.arena.opposite(side))
+                mirror = element in replies and rng.random() < 0.6
+                play.record(
+                    Move(side, element), element if mirror else rng.choice(replies)
+                )
+                won = play.duplicator_won()
+                assert won == (play.violation() is None), play.tuples()
+                outcomes.add(won)
+        assert outcomes == {True, False}

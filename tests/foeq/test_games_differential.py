@@ -114,22 +114,25 @@ def test_compiled_evaluator_matches_reference():
             )
 
 
-def test_compiled_evaluator_state_cache_is_bounded():
+def test_compiled_evaluator_state_cache_is_bounded(monkeypatch):
     # Programs live process-wide (position_program's lru_cache), so the
     # per-word O(n²) state tables must not accumulate without bound over
     # large sweeps; eviction is LRU, keeping repeated words resident.
+    # The invariant is the bound, not the word length: a small bound and
+    # short words exercise it in milliseconds.
     from repro.foeq import compiled
     from repro.foeq.compiled import PositionProgram
 
+    monkeypatch.setattr(compiled, "_MAX_STATES", 8)
     program = PositionProgram(phi_square())
-    for i in range(compiled._MAX_STATES + 50):
-        word = "ab" * (i % 7 + 1) + "a" * (i // 7)
+    for word in WORDS4:
         program.evaluate(word, {})
     assert len(program._states) <= compiled._MAX_STATES
-    # A word evaluated again is served from (and refreshed in) the cache.
-    recent = next(reversed(program._states))
-    program.evaluate(recent, {})
-    assert next(reversed(program._states)) == recent
+    # A word evaluated again is served from (and refreshed in) the cache:
+    # the least recent resident word becomes the most recent one.
+    oldest = next(iter(program._states))
+    program.evaluate(oldest, {})
+    assert next(reversed(program._states)) == oldest
 
 
 def test_compiled_evaluator_open_formulas():

@@ -1,9 +1,16 @@
-"""End-to-end daemon tests: real sockets, real threads, one process."""
+"""End-to-end daemon tests: real sockets, real threads, one process
+(plus one fresh interpreter for the first-request import test)."""
 
+import os
+import subprocess
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+from repro.serve import service
 from repro.serve.client import ServeClient, ServeError, query
 from repro.serve.daemon import ReproServer
 from repro.store import runtime as store_runtime
@@ -119,3 +126,62 @@ class TestLifecycle:
             assert store_runtime.active() is sentinel
         finally:
             store_runtime.deactivate(previous)
+
+
+#: A fresh daemon that fails its exit status if importing the serve layer
+#: loads an op module, or if answering requests imports anything of repro:
+#: lazy imports in handler threads are what raced.
+FRESH_DAEMON = """
+import sys
+from repro.serve.daemon import serve_forever
+from repro.serve.service import _OP_MODULES
+assert not any(m in sys.modules for m in _OP_MODULES)
+loaded = set()
+def announce(line):
+    loaded.update(sys.modules)
+    print(line, flush=True)
+serve_forever("127.0.0.1", 0, announce=announce)
+late = sorted(m for m in set(sys.modules) - loaded if m.startswith("repro"))
+assert not late, late
+"""
+
+
+def test_first_requests_of_every_op_at_once():
+    # Regression: op handlers import lazily, and the first requests of
+    # two ops arriving together raced in the import system (ImportError
+    # "partially initialized module").  The daemon preloads every op's
+    # modules before it serves; it must be a fresh interpreter, since
+    # this one has imported everything already.
+    src = str(Path(service.__file__).parents[2])
+    daemon = subprocess.Popen(
+        [sys.executable, "-c", FRESH_DAEMON],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        port = int(daemon.stdout.readline().rsplit(":", 1)[1])
+        first = (
+            {"op": "membership", "formula": "ww", "word": "abab"},
+            {"op": "equiv", "w": "aaa", "v": "aaaa", "k": 1},
+            {"op": "rank", "w": "aa", "v": "aaa", "max_k": 3},
+            {"op": "spanner", "pattern": ".*x{a+}.*", "document": "aab"},
+        )
+        clients = [ServeClient(port=port) for _ in first]
+        barrier = threading.Barrier(len(first))
+
+        def send(client, request):
+            barrier.wait(timeout=30)
+            with client:
+                return client.request(**request)
+
+        with ThreadPoolExecutor(len(first)) as pool:
+            answers = list(pool.map(send, clients, first))
+        assert all(answer["ok"] for answer in answers), answers
+        assert query("shutdown", port=port) == {"stopping": True}
+        assert daemon.wait(timeout=30) == 0
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+        daemon.stdout.close()
