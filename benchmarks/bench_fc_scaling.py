@@ -1,9 +1,9 @@
 """Scaling — FC model checking vs word length.
 
-The candidate-pool evaluator's cost on the paper's sentences as the input
-word grows: φ_ww (squares), φ_no_cube (∀-heavy), φ_vbv (the rank-5
-congruence witness), and φ_fib on genuine L_fib members.  These curves
-back the DESIGN.md feasibility envelope.
+The cost of ``models`` (the sweep evaluator on a one-word family) on the
+paper's sentences as the input word grows: φ_ww (squares), φ_no_cube
+(∀-heavy), φ_vbv (the rank-5 congruence witness), and φ_fib on genuine
+L_fib members.  These curves back the DESIGN.md feasibility envelope.
 """
 
 import pytest

@@ -2,7 +2,7 @@
 hierarchy must handle every concrete node class or end in a catch-all.
 
 The ASTs of FC, FO[EQ], the spanner algebra and regex formulas are
-closed sums dispatched by ``isinstance`` chains (``fc.semantics.evaluate``
+closed sums dispatched by ``isinstance`` chains (``fc.semantics.evaluate_naive``
 is the archetype).  Adding a node class without extending every dispatch
 site produces *silent* misbehaviour — a fall-through ``None``/no-yield —
 unless the site ends in a catch-all (an ``else`` branch, statements after

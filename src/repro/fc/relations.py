@@ -47,11 +47,9 @@ class FCRelation:
         return len(self.variables)
 
     def evaluate(self, word: str) -> frozenset[tuple[str, ...]]:
-        """Return the relation slice selected on ``word``.
-
-        Per-word enumeration — kept as the differential oracle for
-        :meth:`evaluate_many` (the batched relational-sweep path).
-        """
+        """Return the relation slice selected on ``word``: the per-word
+        form of :meth:`evaluate_many`, the same relational sweep run on
+        a one-word family."""
         tuples = set()
         for sigma in satisfying_assignments(word, self.formula, self.alphabet):
             tuples.add(tuple(sigma[v] for v in self.variables))

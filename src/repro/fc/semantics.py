@@ -8,19 +8,20 @@ Implements the satisfaction relation of Section 2:
 * ``⟦φ⟧(w)`` is the set of assignments (restricted to the free variables)
   that satisfy φ in 𝔄_w.
 
-The checker is a straightforward recursive evaluator — FC model checking is
-PSPACE-hard in combined complexity, and the experiments only ever check
-fixed small formulas on short words, where brute force is exact and fast
-enough.  Extension atoms (e.g. FC[REG] regular constraints) participate by
-providing an ``_evaluate(structure, assignment)`` method.
+Every front-end here runs one evaluator, :class:`repro.fc.sweep.SweepProgram`:
+the batched ones compile a formula once per word family, and the per-word
+ones (:func:`models`, :func:`satisfying_assignments`) treat a single word
+as a family of one, with a fresh family per call.
+:func:`evaluate_naive` is the plain recursive transcription of the
+satisfaction relation, kept as the differential oracle.  Extension atoms
+(e.g. FC[REG] regular constraints) participate by providing an
+``_evaluate(structure, assignment)`` method.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator
 
-from repro.fc.compiled import compiled_evaluator
-from repro.fc.optimizer import formula_pool
 from repro.kernel import stats as kernel_stats
 from repro.fc.structures import BOTTOM, WordStructure, word_structure
 from repro.fc.sweep import LanguageSweep
@@ -45,7 +46,6 @@ from repro.words.generators import words_up_to
 
 __all__ = [
     "Assignment",
-    "evaluate",
     "evaluate_naive",
     "models",
     "satisfying_assignments",
@@ -80,82 +80,18 @@ def _term_value(
         ) from None
 
 
-def evaluate(
-    structure: WordStructure, formula: Formula, assignment: Assignment
-) -> bool:
-    """Decide ``(𝔄, σ) ⊨ φ``.
-
-    ``assignment`` must cover all free variables of ``formula``; bound
-    variables are handled internally (the dict is mutated in place during
-    quantifier scans and restored afterwards).
-    """
-    if isinstance(formula, Concat):
-        x = _term_value(structure, assignment, formula.x)
-        y = _term_value(structure, assignment, formula.y)
-        z = _term_value(structure, assignment, formula.z)
-        return structure.concat_holds(x, y, z)
-    if isinstance(formula, ConcatChain):
-        head = _term_value(structure, assignment, formula.x)
-        if head is BOTTOM:
-            return False
-        pieces = []
-        for part in formula.parts:
-            value = _term_value(structure, assignment, part)
-            if value is BOTTOM:
-                return False
-            pieces.append(value)
-        return head == "".join(pieces) and structure.contains(head)
-    if isinstance(formula, Not):
-        return not evaluate(structure, formula.inner, assignment)
-    if isinstance(formula, And):
-        return evaluate(structure, formula.left, assignment) and evaluate(
-            structure, formula.right, assignment
-        )
-    if isinstance(formula, Or):
-        return evaluate(structure, formula.left, assignment) or evaluate(
-            structure, formula.right, assignment
-        )
-    if isinstance(formula, Implies):
-        return (not evaluate(structure, formula.left, assignment)) or evaluate(
-            structure, formula.right, assignment
-        )
-    if isinstance(formula, (Exists, Forall)):
-        variable = formula.var
-        shadowed = assignment.get(variable)
-        had_value = variable in assignment
-        want = isinstance(formula, Exists)
-        if had_value:
-            del assignment[variable]  # the outer value must not constrain
-        # Sideways information passing: restrict the scan to values for
-        # which the inner formula can still reach the decisive truth value
-        # (∃ → can-be-true, ∀ → can-be-false); see fc.optimizer.
-        pool = formula_pool(structure, assignment, variable, formula.inner, want)
-        scan = structure.universe_factors if pool is None else pool
-        result = not want
-        for factor in scan:
-            assignment[variable] = factor
-            if evaluate(structure, formula.inner, assignment) == want:
-                result = want
-                break
-        if had_value:
-            assignment[variable] = shadowed  # type: ignore[assignment]
-        else:
-            assignment.pop(variable, None)
-        return result
-    custom = getattr(formula, "_evaluate", None)
-    if custom is not None:
-        return custom(structure, assignment)
-    raise TypeError(f"unknown formula node: {formula!r}")
-
-
 def evaluate_naive(
     structure: WordStructure, formula: Formula, assignment: Assignment
 ) -> bool:
-    """Reference evaluator: identical semantics to :func:`evaluate` but with
-    no candidate-pool optimisation — every quantifier scans the full factor
-    universe.  Kept for cross-validation (the optimiser's soundness is
-    property-tested against this) and as executable documentation of the
-    plain Section 2 semantics."""
+    """Decide ``(𝔄, σ) ⊨ φ`` by the Section 2 definition, verbatim.
+
+    Reference evaluator: no candidate pools, no caches — every quantifier
+    scans the full factor universe.  Kept as the differential oracle for
+    the sweep evaluator behind every other front-end, and as executable
+    documentation of the plain semantics.  ``assignment`` must cover the
+    free variables of ``formula``; it is mutated during quantifier scans
+    and restored afterwards.
+    """
     if isinstance(formula, Concat):
         x = _term_value(structure, assignment, formula.x)
         y = _term_value(structure, assignment, formula.y)
@@ -216,11 +152,14 @@ def models(
 ) -> bool:
     """Decide ``𝔄_w ⊨ φ`` (with optional free-variable assignment).
 
-    Raises ``ValueError`` if free variables are left unassigned or a value
-    is not a factor of ``word`` (assignments must never be ⊥).
+    Raises ``ValueError`` if free variables are left unassigned, a value
+    is not a factor of ``word`` (assignments must never be ⊥), or the
+    word or a constant is not over ``alphabet``.  The formula runs on a
+    one-word :class:`~repro.fc.sweep.LanguageSweep`, fresh per call; the
+    caller's ``assignment`` is never mutated.
     """
-    structure = word_structure(word, alphabet)
-    assignment = dict(assignment or {})
+    word_structure(word, alphabet)  # rejects letters outside Σ
+    assignment = assignment or {}
     for variable in free_variables(formula):
         if variable not in assignment:
             raise ValueError(f"free variable {variable!r} unassigned")
@@ -230,9 +169,9 @@ def models(
                 f"assignment {variable!r} ↦ {value!r} is not a factor of "
                 f"{word!r}"
             )
-    # Kernel fast path: interned ids + per-subformula projection cache,
-    # shared process-wide per structure (see repro.fc.compiled).
-    return compiled_evaluator(structure).evaluate(formula, assignment)
+    sweep = LanguageSweep(alphabet)
+    program = sweep.compile(formula)
+    return program.evaluate(sweep.family.table(word), assignment)
 
 
 def satisfying_assignments(
@@ -292,27 +231,15 @@ def satisfying_assignments(
 def _enumerate_assignments(
     word: str, formula: Formula, alphabet: str
 ) -> Iterator[Assignment]:
-    """The cold ⟦φ⟧(w) enumeration behind :func:`satisfying_assignments`."""
-    structure = word_structure(word, alphabet)
-    evaluator = compiled_evaluator(structure)
-    variables = sorted(free_variables(formula), key=lambda v: v.name)
-    factor_pool = sorted(structure.universe_factors, key=lambda f: (len(f), f))
-
-    def recurse(index: int, assignment: Assignment) -> Iterator[Assignment]:
-        if index == len(variables):
-            # The projection cache makes this re-entry cheap: inner
-            # subformulas are recomputed only when *their* free variables
-            # change, not for every enumerated combination.
-            if evaluator.evaluate(formula, assignment):
-                yield dict(assignment)
-            return
-        variable = variables[index]
-        for factor in factor_pool:
-            assignment[variable] = factor
-            yield from recurse(index + 1, assignment)
-        del assignment[variable]
-
-    yield from recurse(0, {})
+    """The cold ⟦φ⟧(w) scan behind :func:`satisfying_assignments`: the
+    relation of a one-word sweep.  Rows come in the nested ``(len,
+    text)`` order over the free variables sorted by name."""
+    word_structure(word, alphabet)  # rejects letters outside Σ
+    sweep = LanguageSweep(alphabet)
+    program = sweep.compile(formula)
+    texts = sweep.family.strings
+    for row in program.relation(sweep.family.table(word)):
+        yield {var: texts[gid] for var, gid in zip(program.free_vars, row)}
 
 
 def satisfying_tuples(
@@ -331,12 +258,10 @@ def satisfying_tuples(
     :func:`satisfying_assignments` yields.  For a sentence, ``rows`` is
     ``[()]`` when the word models φ and ``[]`` otherwise.
 
-    Formulas in the sweep fragment compile once per family
+    The formula compiles once per family
     (:meth:`repro.fc.sweep.SweepProgram.relation`): interning, pools
     and pure-atom truth are shared across words and the per-word scan
-    is pool-pruned bitset algebra.  Formulas outside the fragment fall
-    back to per-word :func:`satisfying_assignments`, with identical
-    rows — the differential suite checks the row-for-row equality.
+    is pool-pruned bitset algebra.
 
     ``scope`` declares that ``words`` is exactly ``Σ^{≤scope}`` in
     enumeration order; with an active artifact store the whole grid's
@@ -366,16 +291,6 @@ def satisfying_tuples(
     program = sweep.compile(formula)
 
     def run() -> Iterator[tuple[str, list[tuple[str, ...]]]]:
-        if program is None:
-            for word in words:
-                rows = [
-                    tuple(assignment[v] for v in canonical)
-                    for assignment in satisfying_assignments(
-                        word, formula, alphabet
-                    )
-                ]
-                yield word, project(rows)
-            return
         store_on = store_runtime.active() is not None and scope is not None
         args = None
         if store_on:
@@ -427,22 +342,18 @@ def satisfying_tuples(
     return run()
 
 
-def defines_language_member(word: str, sentence: Formula, alphabet: str) -> bool:
-    """Return ``w ∈ L(φ)`` for a sentence φ.  Raises on open formulas."""
-    if free_variables(sentence):
-        raise ValueError(
-            f"L(φ) is only defined for sentences; free vars: "
-            f"{sorted(v.name for v in free_variables(sentence))}"
-        )
-    return models(word, sentence, alphabet)
-
-
 def _require_sentence(sentence: Formula) -> None:
     if free_variables(sentence):
         raise ValueError(
             f"L(φ) is only defined for sentences; free vars: "
             f"{sorted(v.name for v in free_variables(sentence))}"
         )
+
+
+def defines_language_member(word: str, sentence: Formula, alphabet: str) -> bool:
+    """Return ``w ∈ L(φ)`` for a sentence φ.  Raises on open formulas."""
+    _require_sentence(sentence)
+    return models(word, sentence, alphabet)
 
 
 def _sweep_store_scope(family, alphabet: str, scope: int | None):
@@ -492,10 +403,7 @@ def defines_language_members(
     program so interning, candidate pools and pure-atom truth are shared
     across the whole family; enumeration order of ``words`` is preserved
     (enumerate prefixes-first, e.g. via ``words_up_to``, for the
-    incremental table extension to pay off).  Sentences outside the
-    sweep fragment fall back to per-word :func:`defines_language_member`
-    with identical results — the differential suite checks the
-    equivalence over full small grids.
+    incremental table extension to pay off).
 
     ``scope`` declares that ``words`` is (a prefix of) ``Σ^{≤scope}`` in
     enumeration order; with an active artifact store the family's
@@ -507,10 +415,6 @@ def defines_language_members(
     program = sweep.compile(sentence)
 
     def run() -> Iterator[tuple[str, bool]]:
-        if program is None:
-            for word in words:
-                yield word, models(word, sentence, alphabet)
-            return
         family = sweep.family
         publish = _sweep_store_scope(family, alphabet, scope)
         for word in words:
@@ -570,10 +474,6 @@ def defines_language_members_shard(
     program = sweep.compile(sentence)
 
     def run() -> Iterator[tuple[str, bool]]:
-        if program is None:
-            for word in shard_words(alphabet, max_length, shard):
-                yield word, models(word, sentence, alphabet)
-            return
         family = sweep.family
         for word in shard.get("stems", ()):
             yield word, program.evaluate(family.table(word))
@@ -634,20 +534,10 @@ def language_signatures(
 
     def run() -> Iterator[tuple[str, tuple[bool, ...]]]:
         family = sweep.family
-        publish = None
-        if any(program is not None for program in programs):
-            publish = _sweep_store_scope(family, alphabet, scope)
+        publish = _sweep_store_scope(family, alphabet, scope)
         for word in words:
-            table = None
-            signature = []
-            for sentence, program in zip(pool, programs):
-                if program is None:
-                    signature.append(models(word, sentence, alphabet))
-                    continue
-                if table is None:
-                    table = family.table(word)
-                signature.append(program.evaluate(table))
-            yield word, tuple(signature)
+            table = family.table(word)
+            yield word, tuple(program.evaluate(table) for program in programs)
         if publish is not None:
             publish()
 

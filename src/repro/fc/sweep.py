@@ -1,21 +1,23 @@
-"""Batched FC sentence evaluation over a word family (the sweep layer).
+"""The FC evaluator: one formula compiled once against a word family.
 
-Membership sweeps — ``L(φ) ∩ Σ^{≤n}`` in E05, the E02 signature pools,
-the Theorem 5.8 agreement checks — evaluate one *fixed* sentence on
-thousands of words.  The per-word evaluator
-(:class:`repro.fc.compiled.CompiledEvaluator`) re-derives everything per
-word: free-variable sets, purity, candidate pools, regex/oracle atom
-truth.  Profiling the E05 grid put ~65% of the wall time in
-re-computing :func:`repro.fc.optimizer.formula_pool` from scratch at
-every quantifier entry of every word.
+Every fast FC path runs here.  Membership sweeps — ``L(φ) ∩ Σ^{≤n}`` in
+E05, the E02 signature pools, the Theorem 5.8 agreement checks —
+evaluate one *fixed* sentence on thousands of words; the per-word
+front-ends (:func:`repro.fc.semantics.models`,
+:func:`~repro.fc.semantics.satisfying_assignments`) run the same plan
+on a family of one word.  :func:`repro.fc.semantics.evaluate_naive` is
+the only other evaluator, kept as the Section 2 oracle.
 
-:class:`SweepProgram` compiles the sentence **once per family** into a
+:class:`SweepProgram` compiles the formula **once per family** into a
 plan tree and shares everything that is word-independent:
 
 * **Pool plans** — which atoms constrain each quantified variable, with
   which terms known/masked, is static; only the known *values* vary.
-  The ``formula_pool`` recursion is compiled away into a small
-  intersection/union tree over per-atom candidate generators.
+  The sideways-information-passing recursion over the formula is done
+  at compile time, leaving a small intersection/union tree over
+  per-atom candidate generators.  Soundness invariant: every value of
+  the variable outside the pool makes the guarded subformula evaluate
+  to the non-decisive truth value (``∃`` → false, ``∀`` → true).
 * **Global candidate memos** — candidates derived from a known head
   value are substrings of that value, hence factors of *any* word the
   value occurs in: chain decompositions, prefix/suffix cuts and halves
@@ -27,21 +29,27 @@ plan tree and shares everything that is word-independent:
   free variables: regex constraints on variables, the Theorem 5.8
   oracle atoms) are memoised per value tuple across the family, so a
   DFA runs once per distinct factor instead of once per enumerated
-  tuple.  A sentence with any *non*-pure extension atom makes
-  ``compile`` return ``None`` and the caller falls back to the exact
-  per-word path.
+  tuple.  Any other extension atom (a Const-subject regex constraint,
+  whose ⊥-ness reads the word) is a per-word leaf: evaluated against
+  the word's :class:`~repro.fc.structures.WordStructure`, never memoised
+  across words.
 * **Conjunct ordering** — flattened ∧/∨ chains are evaluated cheapest
   subformula first (evaluation is total, so the boolean result is
   order-independent); φ_fib's ``φ_w(u) ∧ chain ∧ …`` blocks stop
   paying the quantified whole-word check on every candidate that a
   one-probe chain atom already refutes.
 
+Every FC[REG] formula compiles.  A constant outside Σ raises
+``ValueError`` at compile time (the message of
+:meth:`WordStructure.constant`), an unknown node ``TypeError`` — the
+errors :func:`~repro.fc.semantics.evaluate_naive` raises.
+
 Truth of a quantifier-free pure subformula depends only on the gid
 assignment, not the word: values are factors, so ``x = y·z`` over
 factors holds in the structure iff it holds as a string equation.
 Quantified subformulas *do* depend on the word (scans range over its
-factors), so projection caches stay per word, exactly as in the
-compiled evaluator.
+factors), so each quantifier caches its verdict per projection of the
+assignment onto its free variables, per word.
 
 Candidate pools, span/chain/scan memo entries and quantifier
 restrictions are all **dense bitsets over the family's id space**
@@ -51,21 +59,20 @@ restriction "quantifiers range over the word's factors" is one
 ``pool & table.mask``.  The ``sweep_bitset_ops`` counter measures the
 mask algebra per word.
 
-Beyond membership, a compiled program with free variables emits the
+Beyond truth values, a compiled program with free variables emits the
 full satisfying-assignment **relation** per word
 (:meth:`SweepProgram.relation`): free variables are scanned outermost,
 in sorted-name order, each restricted by a statically compiled pool
 (later free variables masked, exactly like a quantifier prefix), and
 rows are slot-indexed gid tuples in the family's deterministic
-``(len, text)`` enumeration order — the same order the per-word
-oracle (:func:`repro.fc.semantics.satisfying_assignments`) yields, so
-the two paths are comparable row-for-row, not just as sets.
+``(len, text)`` enumeration order — the nested full-universe order,
+pool-pruned.
 
 Differential tests (``tests/fc/test_sweep_differential.py``,
-``tests/fc/test_relation_sweep.py``) prove the batched results equal
-per-word ``defines_language_member`` / ``satisfying_assignments`` over
-full small grids and seeded longer samples, including regex- and
-oracle-bearing sentences.
+``tests/fc/test_relation_sweep.py``, ``tests/fc/test_optimizer.py``,
+``tests/kernel/test_evaluator_differential.py``) compare every front-end
+with ``evaluate_naive`` over full small grids, seeded longer samples and
+hypothesis-generated formulas, including regex- and oracle-bearing ones.
 """
 
 from __future__ import annotations
@@ -82,17 +89,15 @@ from repro.fc.syntax import (
     Not,
     Or,
     Var,
+    constants_used,
     free_variables,
 )
+from repro.fc.structures import word_structure
 from repro.kernel import stats
 from repro.kernel.bitset import iter_ids
 from repro.kernel.sweep import SweepFamily, SweepTable
 
 __all__ = ["LanguageSweep", "SweepProgram"]
-
-
-class _Unsupported(Exception):
-    """Sentence outside the sweep fragment (non-pure extension atom)."""
 
 
 class _WordView:
@@ -121,8 +126,9 @@ class _WordView:
         )
 
 
-# Plan-node kinds.
-_CONCAT, _CHAIN, _NOT, _AND, _OR, _IMPLIES, _QUANT, _EXT = range(8)
+# Plan-node kinds: _EXT is an assignment-pure extension atom (memoised
+# family-wide), _LEAF any other extension atom (evaluated per word).
+_CONCAT, _CHAIN, _NOT, _AND, _OR, _IMPLIES, _QUANT, _EXT, _LEAF = range(9)
 
 
 class _Plan:
@@ -136,6 +142,7 @@ class _Plan:
         "codes",
         "var_slot",
         "want",
+        "fv",
         "free",
         "pool",
         "cache_index",
@@ -152,6 +159,8 @@ class _Plan:
         self.codes: tuple = ()
         self.var_slot = -1  # repro-lint: domain[slot] the quantified variable's environment slot
         self.want = True
+        #: the node's free variables, collected bottom-up at compile time.
+        self.fv: frozenset = frozenset()
         #: environment slots of the node's free variables (projection).
         self.free: tuple = ()  # repro-lint: domain[iter[slot]]
         self.pool = None
@@ -163,9 +172,9 @@ class _Plan:
 # Pool-expression nodes.  A pool expression evaluates to a bitset of
 # gids (a big-int mask, :mod:`repro.kernel.bitset`) that is guaranteed
 # to contain every value of the pooled variable under which the guarded
-# subformula can reach the decisive truth value (the formula_pool
-# soundness invariant); ``None`` pool plans mean "unconstrained — scan
-# the word's universe".
+# subformula can reach the decisive truth value (the pool soundness
+# invariant); ``None`` pool plans mean "unconstrained — scan the word's
+# universe".
 
 
 class _PoolAtom:
@@ -262,17 +271,21 @@ class SweepProgram:
         self._chain_memo: dict = {}
         self._filter_memo: dict = {}
         self._ext_memo: dict = {}
+        for const in constants_used(sentence):
+            if const.symbol != "" and const.symbol not in alphabet:
+                # The error WordStructure.constant raises for any word.
+                raise ValueError(
+                    f"{const.symbol!r} is not a constant of τ_{{{alphabet}}}"
+                )
         self.root = self._compile(sentence)
         #: free variables in sorted-name order — the relation's column
         #: order, matching ``satisfying_assignments``' enumeration.
-        self.free_vars = tuple(
-            sorted(free_variables(sentence), key=lambda v: v.name)
-        )
+        self.free_vars = tuple(sorted(self.root.fv, key=lambda v: v.name))
         self._free_slots = tuple(self._slot(v) for v in self.free_vars)  # repro-lint: domain[iter[slot]]
         #: per-free-var candidate pools for the relation scan: variable
         #: i is scanned with variables i+1.. still unknown, so they are
         #: masked — the same known/masked discipline as a quantifier
-        #: prefix, reusing the formula_pool soundness invariant with
+        #: prefix, reusing the pool soundness invariant with
         #: target=True (the pool contains every value under which the
         #: formula can still be satisfied).
         self._free_pools = tuple(
@@ -300,21 +313,22 @@ class SweepProgram:
         if isinstance(node, Concat):
             plan = _Plan(_CONCAT, node)
             terms = (node.x, node.y, node.z)
-            self._intern_consts(terms)
             plan.codes = tuple(self._code(t) for t in terms)
+            plan.fv = frozenset(t for t in terms if isinstance(t, Var))
             plan.cost = 1
             return plan
         if isinstance(node, ConcatChain):
             plan = _Plan(_CHAIN, node)
             terms = (node.x, *node.parts)
-            self._intern_consts(terms)
             plan.codes = tuple(self._code(t) for t in terms)
+            plan.fv = frozenset(t for t in terms if isinstance(t, Var))
             plan.cost = len(node.parts)
             return plan
         if isinstance(node, Not):
             plan = _Plan(_NOT, node)
             child = self._compile(node.inner)
             plan.children = (child,)
+            plan.fv = child.fv
             plan.cost = child.cost
             return plan
         if isinstance(node, (And, Or)):
@@ -326,6 +340,7 @@ class SweepProgram:
             # stable sort keeps the source order among equals.
             flat.sort(key=lambda p: p.cost)
             plan.children = tuple(flat)
+            plan.fv = frozenset().union(*(p.fv for p in flat))
             plan.cost = sum(p.cost for p in flat)
             return plan
         if isinstance(node, Implies):
@@ -334,6 +349,7 @@ class SweepProgram:
                 self._compile(node.left),
                 self._compile(node.right),
             )
+            plan.fv = plan.children[0].fv | plan.children[1].fv
             plan.cost = plan.children[0].cost + plan.children[1].cost
             return plan
         if isinstance(node, (Exists, Forall)):
@@ -342,9 +358,9 @@ class SweepProgram:
             plan.children = (inner,)
             plan.var_slot = self._slot(node.var)
             plan.want = isinstance(node, Exists)
+            plan.fv = inner.fv - {node.var}
             plan.free = tuple(
-                self._slot(v)
-                for v in sorted(free_variables(node), key=lambda v: v.name)
+                self._slot(v) for v in sorted(plan.fv, key=lambda v: v.name)
             )
             plan.cache_index = self._quant_count
             self._quant_count += 1
@@ -353,22 +369,21 @@ class SweepProgram:
             )
             plan.cost = 10 + 20 * inner.cost
             return plan
-        # Extension atom: admitted only when assignment-pure, i.e. its
-        # truth is a function of its free-variable values alone — the
-        # family-wide value-tuple memo is sound exactly then.
+        # Extension atom.  When assignment-pure (truth a function of its
+        # free-variable values alone) the family-wide value-tuple memo is
+        # sound; any other atom is a per-word leaf.
         if getattr(node, "_evaluate", None) is not None:
-            if not getattr(node, "_assignment_pure", False):
-                raise _Unsupported(f"extension atom {node!r} is not pure")
-            plan = _Plan(_EXT, node)
-            plan.ext_free = tuple(
-                sorted(free_variables(node), key=lambda v: v.name)
-            )
+            pure = getattr(node, "_assignment_pure", False)
+            plan = _Plan(_EXT if pure else _LEAF, node)
+            plan.fv = free_variables(node)
+            plan.ext_free = tuple(sorted(plan.fv, key=lambda v: v.name))
             plan.free = tuple(self._slot(v) for v in plan.ext_free)
-            plan.ext_index = self._ext_count
-            self._ext_count += 1
+            if pure:
+                plan.ext_index = self._ext_count
+                self._ext_count += 1
             plan.cost = 5
             return plan
-        raise _Unsupported(f"unknown formula node: {node!r}")
+        raise TypeError(f"unknown formula node: {node!r}")
 
     def _flatten(self, node: Formula, op: type, out: list) -> None:
         if isinstance(node, op):
@@ -377,23 +392,21 @@ class SweepProgram:
         else:
             out.append(self._compile(node))
 
-    def _intern_consts(self, terms: tuple) -> None:
-        for term in terms:
-            if isinstance(term, Const):
-                if term.symbol != "" and term.symbol not in self.alphabet:
-                    # Fall back so the per-word path raises the same
-                    # ValueError the structure would.
-                    raise _Unsupported(f"constant {term.symbol!r} ∉ Σ")
-                self.family.intern(term.symbol)
-
-    # -- pool compilation (static formula_pool) ------------------------------
+    # -- pool compilation ----------------------------------------------------
 
     def _compile_pool(
         self, node: Formula, var: Var, target: bool, masked: frozenset
     ):
-        """Static twin of :func:`repro.fc.optimizer.formula_pool`: the
-        recursion over the formula happens here, once; what remains for
-        runtime is per-atom candidate generation."""
+        """The candidate pool of ``var`` for which ``node`` can evaluate
+        to ``target``, as a pool expression (``None``: unconstrained).
+
+        Polarity-aware: ∧-true and ∨-false intersect their sides' pools,
+        ∧-false and ∨-true unite them (``P → Q`` is ``¬P ∨ Q``).  A
+        variable bound inside ``node`` is ``masked`` — an unknown, not
+        its shadowed outer value — so an atom mentioning it contributes
+        "can hold for *some* inner binding".  The recursion happens here,
+        once; what remains for runtime is per-atom candidate generation.
+        """
         if isinstance(node, (Concat, ConcatChain)):
             if not target:
                 return None
@@ -428,19 +441,16 @@ class SweepProgram:
             return self._compile_pool(
                 node.inner, var, target, masked | {node.var}
             )
-        # Extension atom: contributes only as a truth filter, mirroring
-        # the _candidates hook (unary on the pooled variable, positive
-        # polarity).
+        # Extension atom: an assignment-pure one whose only free variable
+        # is the pooled one filters the candidates (positive polarity).
         if (
             target
-            and getattr(node, "_candidates", None) is not None
             and getattr(node, "_assignment_pure", False)
+            and free_variables(node) == frozenset((var,))
         ):
-            free = free_variables(node)
-            if free == frozenset((var,)):
-                index = self._pool_index
-                self._pool_index += 1
-                return _PoolFilter(node, var, index)
+            index = self._pool_index
+            self._pool_index += 1
+            return _PoolFilter(node, var, index)
         return None
 
     def _make_inter(self, children: list):
@@ -454,8 +464,8 @@ class SweepProgram:
 
     def _compile_pool_atom(self, atom, var: Var, masked: frozenset):
         """Pick the specialised candidate case for one atom; ``None``
-        when the atom cannot constrain ``var`` (matching the dynamic
-        logic of ``_atom_candidates``/``_chain_candidates``)."""
+        when the atom cannot constrain ``var`` (the pooled variable on
+        both sides, or no known value to derive candidates from)."""
 
         def ref(term):
             """Value source for a term: gid ≥ 0 (Const), ``-(slot+1)``
@@ -690,8 +700,8 @@ class SweepProgram:
         self, pa: _PoolAtom, head_gid: int, knowns: tuple
     ) -> int:
         """Project the head's chain decompositions onto the pooled
-        variable (the port of ``_chain_candidates``, on the global id
-        space)."""
+        variable: backtracking over split points, with constants and
+        known values pruning (on the global id space)."""
         family = self.family
         head = family.strings[head_gid]
         parts = pa.atom.parts
@@ -729,19 +739,26 @@ class SweepProgram:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, table: SweepTable) -> bool:
-        """Truth of the sentence on ``table``'s word."""
-        if self.free_vars:
-            raise ValueError(
-                "evaluate() requires a sentence; open formulas emit "
-                "their relation via relation()"
-            )
+    def evaluate(self, table: SweepTable, assignment=None) -> bool:
+        """Truth of the formula on ``table``'s word.
+
+        ``assignment`` maps every free variable to a factor of the word
+        (a sentence needs none); other entries are ignored.  Open
+        formulas also emit their whole relation via :meth:`relation`.
+        """
         ctx = _Ctx(
             table,
             self._n_slots,
             self._quant_count,
             _WordView(table.word, self.alphabet),
         )
+        for var in self.free_vars:
+            if assignment is None or var not in assignment:
+                raise ValueError(
+                    f"evaluate() needs a value for free variable {var!r}; "
+                    f"open formulas emit their relation via relation()"
+                )
+            ctx.env[self._slot_of[var]] = self.family.intern(assignment[var])
         result = self._eval(self.root, ctx)
         if ctx.bitops:
             stats.record("sweep_bitset_ops", ctx.bitops)
@@ -754,11 +771,10 @@ class SweepProgram:
         variable in sorted-name order (``self.free_vars``).
 
         Rows come out in the deterministic nested ``(len, text)``
-        enumeration order — variable 1 outermost — which is exactly the
-        order the per-word oracle enumerates its (pool-sorted) factor
-        candidates, so a sound pool makes the sweep's row sequence a
-        pointwise match of the oracle's, enabling bit-identical
-        artifact persistence.
+        enumeration order — variable 1 outermost — so a sound pool makes
+        the row sequence a subsequence of the full nested factor scan,
+        word for word the same whichever family the table belongs to;
+        stored relations are therefore bit-identical across runs.
         """
         ctx = _Ctx(
             table,
@@ -867,9 +883,17 @@ class SweepProgram:
             )
         if kind == _QUANT:
             return self._quantifier(plan, ctx)
-        # _EXT: assignment-pure — memoised on the value projection.
         env = ctx.env
         projection = tuple(env[s] for s in plan.free)
+        if kind == _LEAF:
+            # Not assignment-pure: reads the word's structure, so it is
+            # evaluated afresh and never memoised across words.
+            texts = self.family.strings
+            return plan.node._evaluate(
+                word_structure(ctx.table.word, self.alphabet),
+                {v: texts[g] for v, g in zip(plan.ext_free, projection)},
+            )
+        # _EXT: assignment-pure — memoised on the value projection.
         key = (plan.ext_index, projection)
         cached = self._ext_memo.get(key)
         if cached is None:
@@ -934,15 +958,11 @@ class LanguageSweep:
         self.alphabet = alphabet
         self.family = SweepFamily(tuple(alphabet))
 
-    def compile(self, sentence: Formula) -> "SweepProgram | None":
-        """Compile a formula (closed for :meth:`SweepProgram.evaluate`,
-        open for :meth:`SweepProgram.relation`), or ``None`` when it
-        falls outside the sweep fragment (the caller then uses the
-        per-word path)."""
-        try:
-            return SweepProgram(sentence, self.family, self.alphabet)
-        except _Unsupported:
-            return None
+    def compile(self, formula: Formula) -> SweepProgram:
+        """Compile an FC[REG] formula against this family: sentences and
+        assigned open formulas answer :meth:`SweepProgram.evaluate`,
+        open formulas emit :meth:`SweepProgram.relation`."""
+        return SweepProgram(formula, self.family, self.alphabet)
 
     def subtree(self, prefix: str):
         """A shard view over one prefix subtree of the enumeration tree.

@@ -3,9 +3,10 @@
 A *regular constraint* is an atomic formula ``(x ∈̇ γ)``; the semantics:
 ``(𝔄_w, σ) ⊨ (x ∈̇ γ)`` iff ``σ(x) ⊑ w`` and ``σ(x) ∈ L(γ)``.  The atom
 plugs into the FC model checker through the extension hooks
-(``_evaluate``, ``_candidates``, ``_quantifier_rank``), so every FC
+(``_evaluate``, ``_assignment_pure``, ``_quantifier_rank``), so every FC
 facility (``models``, ``satisfying_assignments``, ``FCLanguage``) works
-unchanged on FC[REG] formulas.
+unchanged on FC[REG] formulas.  With a variable subject the sweep
+evaluator also uses the atom as a candidate filter for that variable.
 
 The paper's cautionary note applies and is preserved here: with regular
 constraints there are infinitely many rank-1 formulas, so Theorem 3.4
@@ -74,22 +75,6 @@ class RegularConstraint(Formula):
         if value is BOTTOM:
             return False
         return self._dfa.accepts(value)
-
-    def _candidates(
-        self,
-        structure: WordStructure,
-        assignment: dict,
-        var: Var,
-        bound: frozenset,
-    ):
-        """Optimizer hook: the constraint filters the factor universe."""
-        if var != self.x or var in bound:
-            return None
-        return frozenset(
-            factor
-            for factor in structure.universe_factors
-            if self._dfa.accepts(factor)
-        )
 
 
 def in_regex(x: "Term | str", pattern: "Regex | str") -> RegularConstraint:

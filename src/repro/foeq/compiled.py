@@ -11,9 +11,9 @@ evaluates it against per-word state:
 * a dense interval-id table (``fid[i][j]`` = id of ``w[i..j]``), so the
   quaternary EQ atom is two lookups and an int compare;
 * one projection cache per quantifier node, keyed on the positions of
-  the node's free variables — the same sideways sharing as
-  :class:`repro.fc.compiled.CompiledEvaluator`, transplanted to the
-  position side.
+  the node's free variables — the same sideways sharing as the FC
+  quantifier caches of :class:`repro.fc.sweep.SweepProgram`,
+  transplanted to the position side.
 
 Compiled programs are shared process-wide per formula (FO[EQ] ASTs are
 frozen dataclasses, so structural equality keys the cache) — callers

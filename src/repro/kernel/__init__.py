@@ -6,8 +6,9 @@ strings and frozensets of string pairs pays hashing and allocation costs
 exponentially often in the round count / quantifier depth.  This package
 interns each universe once into dense integer ids with precomputed
 tables (sorted order, lengths, a full concatenation table, constant
-ids), so the hot paths above it — ``repro.ef.solver`` and
-``repro.fc.compiled`` — run on machine integers and tuple indexing.
+ids), so the EF solver above it (``repro.ef.solver``) runs on machine
+integers and tuple indexing; the FC evaluator (``repro.fc.sweep``)
+interns whole word families the same way through :mod:`.sweep`.
 
 Layering: ``kernel`` sits between ``words`` and ``{fc, fcreg}`` in the
 import DAG (see ``repro.analysis.layering``).  It therefore cannot and

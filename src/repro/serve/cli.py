@@ -92,8 +92,8 @@ def add_warm_parser(commands: argparse._SubParsersAction) -> None:
     warm.add_argument(
         "--formulas",
         action="store_true",
-        help="also evaluate the named paper formulas on every word "
-        "(seeds sweep tables and assignment records)",
+        help="also evaluate the named paper formulas on every word over "
+        "their alphabet (exercises the FC evaluator; stores nothing)",
     )
     warm.add_argument(
         "--store",

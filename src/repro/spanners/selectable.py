@@ -49,10 +49,9 @@ def spanner_content_relation(
 def formula_content_relation(
     formula: Formula, document: str, alphabet: str, order: Sequence[Var]
 ) -> frozenset[tuple[str, ...]]:
-    """``⟦φ⟧(d)`` as a set of content tuples in variable ``order``.
-
-    Per-document enumeration — kept as the differential oracle for the
-    batched sweep :func:`agree_extensionally` runs.
+    """``⟦φ⟧(d)`` as a set of content tuples in variable ``order``: the
+    per-document form of the batched sweep :func:`agree_extensionally`
+    runs (the same relational sweep on a one-word family).
     """
     return frozenset(
         tuple(sigma[v] for v in order)

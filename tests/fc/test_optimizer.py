@@ -1,18 +1,20 @@
-"""Soundness of the candidate-pool optimiser.
+"""Soundness of the sweep evaluator's candidate pools.
 
-The optimised evaluator must agree with the naive reference evaluator on
-*every* formula — the candidate pools may only skip values that cannot
-change the quantifier's outcome.  We check this on randomized formulas
-(hypothesis-generated ASTs over a small variable set) and on all the
-paper's concrete formulas, plus direct unit tests of the pool rules.
+``models`` (the one-word sweep) must agree with the naive reference
+evaluator on *every* formula — the candidate pools may only skip values
+that cannot change the quantifier's outcome.  We check this on
+randomized formulas (hypothesis-generated ASTs over a small variable
+set, so quantifiers rebind free variables) under random free-variable
+assignments and on all the paper's concrete formulas, plus direct unit
+tests of the compiled pool rules.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fc.optimizer import formula_pool, necessary_atoms
-from repro.fc.semantics import evaluate, evaluate_naive
+from repro.fc.semantics import evaluate_naive, models
 from repro.fc.structures import word_structure
+from repro.fc.sweep import LanguageSweep, _Ctx
 from repro.fc.syntax import (
     And,
     Concat,
@@ -27,6 +29,7 @@ from repro.fc.syntax import (
     Var,
     free_variables,
 )
+from repro.kernel.bitset import iter_ids
 
 VARS = [Var("v0"), Var("v1"), Var("v2")]
 TERMS = VARS + [Const("a"), Const("b"), EPSILON]
@@ -65,6 +68,25 @@ def formulas(depth: int = 3):
 words = st.text(alphabet="ab", max_size=5)
 
 
+def sweep_pool(word, var, formula, target=True, assignment=None):
+    """The sweep's compiled candidate pool for the quantifier over
+    ``var`` (∃ for ``target`` true, ∀ otherwise) on ``word`` over
+    {a, b}, as a set of factors; ``None`` when the scan is unconstrained.
+    ``assignment`` gives the other variables' slots their values.
+    """
+    sweep = LanguageSweep("ab")
+    program = sweep.compile((Exists if target else Forall)(var, formula))
+    if program.root.pool is None:
+        return None
+    family = sweep.family
+    table = family.table(word)
+    ctx = _Ctx(table, program._n_slots, program._quant_count, None)
+    for variable, value in (assignment or {}).items():
+        ctx.env[program._slot_of[variable]] = family.intern(value)
+    mask = program._pool_eval(program.root.pool, ctx) & table.mask
+    return {family.strings[gid] for gid in iter_ids(mask)}
+
+
 class TestOptimizerAgreesWithNaive:
     @settings(max_examples=300, deadline=None)
     @given(formulas(), words, st.data())
@@ -74,9 +96,9 @@ class TestOptimizerAgreesWithNaive:
         assignment = {}
         for variable in free_variables(phi):
             assignment[variable] = data.draw(st.sampled_from(pool))
-        fast = evaluate(structure, phi, dict(assignment))
+        fast = models(w, phi, "ab", assignment)
         slow = evaluate_naive(structure, phi, dict(assignment))
-        assert fast == slow, f"optimiser diverges on {phi!r} over {w!r}"
+        assert fast == slow, f"sweep diverges on {phi!r} over {w!r}"
 
     @pytest.mark.parametrize("w", ["", "a", "ab", "aab", "abab", "cacabcabac"])
     def test_paper_formulas(self, w):
@@ -85,92 +107,61 @@ class TestOptimizerAgreesWithNaive:
         alphabet = "abc" if "c" in w else "ab"
         for phi in (phi_ww(), phi_no_cube(), phi_vbv()):
             structure = word_structure(w, alphabet)
-            assert evaluate(structure, phi, {}) == evaluate_naive(
+            assert models(w, phi, alphabet) == evaluate_naive(
                 structure, phi, {}
             )
         if len(w) <= 4:
             structure = word_structure(w, "abc")
             phi = phi_fib()
-            assert evaluate(structure, phi, {}) == evaluate_naive(
-                structure, phi, {}
-            )
+            assert models(w, phi, "abc") == evaluate_naive(structure, phi, {})
 
 
 class TestPoolRules:
     def test_determined_head(self):
-        structure = word_structure("abab", "ab")
-        x, y = Var("x"), Var("y")
+        x = Var("x")
         atom = Concat(x, Const("a"), Const("b"))
-        pool = formula_pool(structure, {}, x, atom, True)
-        assert pool == {"ab"}
+        assert sweep_pool("abab", x, atom) == {"ab"}
 
     def test_prefix_constraint(self):
-        structure = word_structure("aab", "ab")
-        x, y = Var("x"), Var("y")
-        atom = Concat(Var("k"), x, y)
-        pool = formula_pool(structure, {Var("k"): "aab"}, x, atom, True)
+        # y bound deeper is unknown: every prefix of k is a candidate.
+        x, y, k = Var("x"), Var("y"), Var("k")
+        phi = Exists(y, Concat(k, x, y))
+        pool = sweep_pool("aab", x, phi, assignment={k: "aab"})
         assert pool == {"", "a", "aa", "aab"}
 
     def test_or_union(self):
-        structure = word_structure("ab", "ab")
         x = Var("x")
         phi = Or(Concat(x, Const("a"), EPSILON), Concat(x, Const("b"), EPSILON))
-        pool = formula_pool(structure, {}, x, phi, True)
-        assert pool == {"a", "b"}
+        assert sweep_pool("ab", x, phi) == {"a", "b"}
 
     def test_and_intersection(self):
-        structure = word_structure("ab", "ab")
         x = Var("x")
         phi = And(
             Concat(x, Const("a"), EPSILON), Concat(x, Const("b"), EPSILON)
         )
-        pool = formula_pool(structure, {}, x, phi, True)
-        assert pool == frozenset()
+        assert sweep_pool("ab", x, phi) == set()
 
     def test_negative_atom_unconstrained(self):
-        structure = word_structure("ab", "ab")
         x = Var("x")
-        pool = formula_pool(
-            structure, {}, x, Concat(x, Const("a"), EPSILON), False
-        )
-        assert pool is None
+        phi = Concat(x, Const("a"), EPSILON)
+        assert sweep_pool("ab", x, phi, target=False) is None
 
     def test_bound_variables_masked(self):
-        # x ≐ c·y with y bound deeper: candidates treat y as unknown.
-        structure = word_structure("aba", "ab")
+        # x ≐ b·y with y bound deeper: candidates treat y as unknown,
+        # whatever value y's slot holds outside.
         x, y = Var("x"), Var("y")
         phi = Exists(y, Concat(x, Const("b"), y))
-        pool = formula_pool(structure, {y: "a"}, x, phi, True)
+        pool = sweep_pool("aba", x, phi, assignment={y: "a"})
         # factors starting with b: b, ba
         assert pool == {"b", "ba"}
 
     def test_chain_decomposition_pool(self):
-        structure = word_structure("abba", "ab")
         x, y1, y2 = Var("x"), Var("y1"), Var("y2")
-        atom = ConcatChain(x, (y1, Const("b"), Const("b"), y2))
-        pool = formula_pool(structure, {x: "abba"}, y1, atom, True)
+        phi = Exists(y2, ConcatChain(x, (y1, Const("b"), Const("b"), y2)))
+        pool = sweep_pool("abba", y1, phi, assignment={x: "abba"})
         assert pool == {"a"}
 
     def test_chain_repeated_variable(self):
-        structure = word_structure("abab", "ab")
         x, y = Var("x"), Var("y")
         atom = ConcatChain(x, (y, y))
-        pool = formula_pool(structure, {x: "abab"}, y, atom, True)
-        assert pool == {"ab"}
-
-    def test_necessary_atoms_and(self):
-        x, y, z = Var("x"), Var("y"), Var("z")
-        a1, a2 = Concat(x, y, z), Concat(y, x, z)
-        assert necessary_atoms(And(a1, a2), True) == {a1, a2}
-        assert necessary_atoms(And(a1, a2), False) == frozenset()
-
-    def test_necessary_atoms_not_or(self):
-        x, y, z = Var("x"), Var("y"), Var("z")
-        a1, a2 = Concat(x, y, z), Concat(y, x, z)
-        assert necessary_atoms(Or(a1, a2), False) == frozenset()
-        assert necessary_atoms(Not(Or(a1, a2)), True) == frozenset()
-
-    def test_necessary_atoms_exclude_bound(self):
-        x, y, z = Var("x"), Var("y"), Var("z")
-        phi = Exists(y, And(Concat(x, y, z), Concat(x, z, z)))
-        assert necessary_atoms(phi, True) == {Concat(x, z, z)}
+        assert sweep_pool("abab", y, atom, assignment={x: "abab"}) == {"ab"}

@@ -1,25 +1,25 @@
-"""Differential tests: batched relational sweeps vs per-word enumeration.
+"""Differential tests: batched relational sweeps vs the naive oracle.
 
 ``satisfying_tuples`` (the ``SweepProgram.relation`` bitset scan) must
-yield, word for word AND row for row, exactly what the per-word oracle
-``satisfying_assignments`` enumerates — same tuples, same order — over
-a pool of open formulas covering quantifier alternation, negation,
-regex constraints, absent-letter constants and out-of-fragment
-fallbacks.  A second group checks the ``sweep-relation`` store artifact
-round-trip: the hydrated grid is bit-identical to the cold scan.
+yield, word for word AND row for row, exactly the rows a naive scan
+finds — ``evaluate_naive`` on every tuple of factors, free variables in
+sorted-name columns, in nested ``(len, text)`` order — over a pool of
+open formulas covering quantifier alternation, negation, regex
+constraints, absent-letter constants and per-word (non-pure) atoms.  A
+second group checks the ``sweep-relation`` store artifact round-trip:
+the hydrated grid is bit-identical to the cold scan.
 """
 
+import itertools
 import random
 
 import pytest
 
 from repro.fc import builders as B
 from repro.fc.builders import chain
-from repro.fc.semantics import (
-    satisfying_assignments,
-    satisfying_tuples,
-)
+from repro.fc.semantics import evaluate_naive, satisfying_tuples
 from repro.fc.relations import FCRelation, defines_relation
+from repro.fc.structures import word_structure
 from repro.fc.sweep import LanguageSweep
 from repro.fc.syntax import (
     And,
@@ -74,13 +74,18 @@ def _formula_pool():
 
 
 def _oracle_rows(formula, alphabet, word, order=None):
-    names = order or tuple(
-        sorted(free_variables(formula), key=lambda v: v.name)
-    )
-    return [
-        tuple(sigma[v] for v in names)
-        for sigma in satisfying_assignments(word, formula, alphabet)
-    ]
+    """⟦φ⟧(w) by ``evaluate_naive`` over every tuple of factors: the
+    first free variable (by name) outermost, each scanning the factors
+    in ``(len, text)`` order; columns in ``order`` (default: by name)."""
+    names = tuple(sorted(free_variables(formula), key=lambda v: v.name))
+    structure = word_structure(word, alphabet)
+    universe = sorted(structure.universe_factors, key=lambda f: (len(f), f))
+    rows = []
+    for values in itertools.product(universe, repeat=len(names)):
+        sigma = dict(zip(names, values))
+        if evaluate_naive(structure, formula, dict(sigma)):
+            rows.append(tuple(sigma[v] for v in order or names))
+    return rows
 
 
 def _assert_rows_agree(formula, alphabet, words):
@@ -130,17 +135,15 @@ def test_variables_must_be_a_permutation():
         list(satisfying_tuples(formula, "ab", ["a"], variables=(X, Y)))
 
 
-def test_out_of_fragment_falls_back_identically():
-    # Const-subject constraint: not assignment-pure, compile refuses.
+def test_const_subject_regex_compiles_and_agrees_with_oracle():
+    # Const-subject constraint: not assignment-pure, so a per-word leaf.
     formula = And(Concat(X, X, X), in_regex("a", "a"))
-    assert LanguageSweep("ab").compile(formula) is None
     _assert_rows_agree(formula, "ab", list(words_up_to("ab", 4)))
 
 
 def test_open_program_evaluate_raises():
     sweep = LanguageSweep("ab")
     program = sweep.compile(Exists(Y, Concat(X, Y, Y)))
-    assert program is not None
     with pytest.raises(ValueError):
         program.evaluate(sweep.family.table("ab"))
 
@@ -164,7 +167,9 @@ def test_fc_relation_evaluate_many_matches_oracle():
     words = list(words_up_to("ab", 4))
     batched = dict(relation.evaluate_many(words))
     for word in words:
-        assert batched[word] == relation.evaluate(word), word
+        expected = frozenset(_oracle_rows(formula, "ab", word, (Y, X)))
+        assert batched[word] == expected, word
+        assert relation.evaluate(word) == expected, word
 
 
 def test_defines_relation_routes_through_batch():

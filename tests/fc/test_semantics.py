@@ -1,16 +1,22 @@
 """Tests for FC model checking (Section 2 semantics)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fc.semantics import (
     FCLanguage,
     defines_language_member,
+    defines_language_members,
+    evaluate_naive,
     language_slice,
     languages_agree,
     models,
     satisfying_assignments,
+    satisfying_tuples,
 )
+from repro.fc.structures import word_structure
 from repro.fc.syntax import (
     And,
     Concat,
@@ -146,3 +152,30 @@ class TestLanguages:
 
         assert lang.agrees_with(HasAA(), 4)
         assert lang.first_disagreement(HasAA(), 4) is None
+
+
+#: 'b' is not a constant of τ_{a}: every front-end must reject a formula
+#: using it, as evaluate_naive does, whether or not the word (or a
+#: quantifier's candidates) would ever reach the constant.
+NOT_B = Exists(x, Not(Concat(x, B, EPSILON)))
+X_IS_B = Concat(x, B, EPSILON)
+OUT_OF_ALPHABET = {
+    "models": lambda: models("aa", NOT_B, "a"),
+    "models_assigned": lambda: models("aa", X_IS_B, "a", {x: "a"}),
+    "satisfying_assignments": lambda: list(
+        satisfying_assignments("aa", X_IS_B, "a")
+    ),
+    "defines_language_members": lambda: list(
+        defines_language_members(NOT_B, "a", ["aa"])
+    ),
+    "satisfying_tuples": lambda: list(satisfying_tuples(X_IS_B, "a", ["aa"])),
+}
+
+
+@pytest.mark.parametrize("front_end", sorted(OUT_OF_ALPHABET))
+def test_constant_outside_alphabet_raises(front_end):
+    message = re.escape("'b' is not a constant of τ_{a}")
+    with pytest.raises(ValueError, match=message):
+        evaluate_naive(word_structure("aa", "a"), NOT_B, {})
+    with pytest.raises(ValueError, match=message):
+        OUT_OF_ALPHABET[front_end]()

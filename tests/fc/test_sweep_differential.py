@@ -1,11 +1,11 @@
-"""Differential check: batched sweep evaluation vs per-word membership.
+"""Differential check: batched sweep evaluation vs the naive oracle.
 
-``defines_language_members`` (the repro.fc.sweep fast path) must return
-exactly what per-word ``defines_language_member`` returns — over full
-small grids for a pool of structurally diverse sentences (quantifier
+``defines_language_members`` (the repro.fc.sweep evaluator) must return
+exactly what ``evaluate_naive`` decides word by word — over full small
+grids for a pool of structurally diverse sentences (quantifier
 alternation, negation, chains, regex constraints, oracle atoms, the
-ψ-reductions) and over seeded longer samples.  Sentences outside the
-sweep fragment must fall back to the per-word path transparently.
+ψ-reductions) and over seeded longer samples.  Extension atoms that are
+not assignment-pure compile to per-word leaves and agree too.
 """
 
 import random
@@ -17,12 +17,13 @@ from repro.fc import builders as B
 from repro.fc.builders import chain, exists_many
 from repro.fc.semantics import (
     FCLanguage,
-    defines_language_member,
     defines_language_members,
+    evaluate_naive,
     language_signatures,
     language_slice,
     languages_agree,
 )
+from repro.fc.structures import word_structure
 from repro.fc.sweep import LanguageSweep
 from repro.fc.syntax import And, Concat, Const, Exists, Forall, Implies, Not, Or, Var
 from repro.fcreg.constraints import in_regex
@@ -77,12 +78,14 @@ def _sentence_pool():
     }
 
 
+def _naive_member(word, sentence, alphabet):
+    return evaluate_naive(word_structure(word, alphabet), sentence, {})
+
+
 def _assert_agree(sentence, alphabet, words):
     batched = dict(defines_language_members(sentence, alphabet, words))
     for word in words:
-        assert batched[word] == defines_language_member(
-            word, sentence, alphabet
-        ), word
+        assert batched[word] == _naive_member(word, sentence, alphabet), word
 
 
 @pytest.mark.parametrize("name", sorted(_sentence_pool()))
@@ -107,10 +110,19 @@ def test_phi_fib_over_abc_grid():
 
 @pytest.mark.parametrize("relation", ["Add", "Mult", "Rev"])
 def test_psi_reductions_agree(relation):
+    # The naive oracle is exponential in ψ's quantifier depth (over 100 s
+    # for the 32 words of length 5), so it checks the grid up to length
+    # 3; the whole length-5 grid is checked against the target language
+    # itself, which L(ψ) equals by Theorem 5.8.
     reduction = PSI_REDUCTIONS[relation]
-    alphabet = PAPER_LANGUAGES[reduction.target_language].alphabet
+    language = PAPER_LANGUAGES[reduction.target_language]
     psi = reduction.build(oracle_for(relation))
-    _assert_agree(psi, alphabet, list(words_up_to(alphabet, 5)))
+    _assert_agree(psi, language.alphabet, list(words_up_to(language.alphabet, 3)))
+    grid = defines_language_members(
+        psi, language.alphabet, words_up_to(language.alphabet, 5)
+    )
+    for word, member in grid:
+        assert member == (word in language), word
 
 
 def test_absent_letter_const_pool_restricted_to_domain():
@@ -119,17 +131,15 @@ def test_absent_letter_const_pool_restricted_to_domain():
     # factors of the word.  These must be filtered out before the
     # quantifier scan: quantifiers range over the word's factors, and an
     # assignment-pure disjunct (here the regex) holds at the non-domain
-    # value 'a'.  Both sentences stay inside the sweep fragment — no
-    # fallback masks the bug.
+    # value 'a'.
     for sentence in (
         Exists(Y, Or(Concat(Const("a"), Y, Const("")), in_regex(Y, "a"))),
         Exists(Y, Or(chain(Const("a"), [Y]), in_regex(Y, "a"))),
     ):
         sweep = LanguageSweep("ab")
         program = sweep.compile(sentence)
-        assert program is not None
         assert program.evaluate(sweep.family.table("b")) is False
-        assert defines_language_member("b", sentence, "ab") is False
+        assert _naive_member("b", sentence, "ab") is False
 
 
 def test_word_view_constant_raises():
@@ -143,16 +153,15 @@ def test_word_view_constant_raises():
         view.constant("a")
 
 
-def test_const_subject_regex_falls_back():
+def test_const_subject_regex_compiles_and_agrees_with_oracle():
     # A Const-subject constraint reads the structure (⊥ when the letter
-    # is absent), so it is not assignment-pure: compile must refuse and
-    # the front-end must fall back with identical results.
+    # is absent), so it is not assignment-pure: it compiles to a per-word
+    # leaf, and one family holds words with and without the letter.
     sentence = Exists(X, And(Concat(X, X, X), in_regex("a", "a")))
-    assert LanguageSweep("ab").compile(sentence) is None
     _assert_agree(sentence, "ab", list(words_up_to("ab", 4)))
 
 
-def test_impure_extension_atom_falls_back():
+def test_impure_extension_atom_compiles_and_agrees_with_oracle():
     from repro.fc.syntax import Formula
 
     class StructurePeeking(Formula):
@@ -168,15 +177,13 @@ def test_impure_extension_atom_falls_back():
             yield X
 
     sentence = Exists(X, And(Concat(X, Const(""), Const("")), StructurePeeking()))
-    assert LanguageSweep("ab").compile(sentence) is None
+    _assert_agree(sentence, "ab", list(words_up_to("ab", 4)))
 
 
 def test_front_ends_route_through_sweep():
     ww = B.phi_ww()
     per_word = frozenset(
-        w
-        for w in words_up_to("ab", 6)
-        if defines_language_member(w, ww, "ab")
+        w for w in words_up_to("ab", 6) if _naive_member(w, ww, "ab")
     )
     assert language_slice(ww, "ab", 6) == per_word
     assert languages_agree(ww, ww, "ab", 5)
@@ -192,7 +199,7 @@ def test_language_signatures_match_per_sentence_membership():
     words = list(words_up_to("ab", 5))
     for word, signature in language_signatures(pool, "ab", words):
         expected = tuple(
-            defines_language_member(word, sentence, "ab") for sentence in pool
+            _naive_member(word, sentence, "ab") for sentence in pool
         )
         assert signature == expected, word
 

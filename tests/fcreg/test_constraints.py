@@ -51,13 +51,11 @@ class TestSemantics:
 
 class TestOptimizerHook:
     def test_candidates_filter_universe(self):
-        from repro.fc.optimizer import formula_pool
-        from repro.fc.structures import word_structure
+        # A variable-subject constraint filters the sweep's candidates.
+        from tests.fc.test_optimizer import sweep_pool
 
-        structure = word_structure("abab", "ab")
         constraint = in_regex(x, "(ab)*")
-        pool = formula_pool(structure, {}, x, constraint, True)
-        assert pool == {"", "ab", "abab"}
+        assert sweep_pool("abab", x, constraint) == {"", "ab", "abab"}
 
     def test_exists_with_constraint_is_fast_and_correct(self):
         phi = Exists(x, in_regex(x, "(ba)+"))

@@ -1,8 +1,9 @@
-"""Differential check: CompiledEvaluator vs the naive FC evaluator.
+"""Differential check: the sweep front-ends vs the naive FC evaluator.
 
 ``evaluate_naive`` is the executable transcription of the Section 2
-satisfaction relation; the projection-cached evaluator must agree with it
-on every formula/word/assignment triple.  Sentences come from the same
+satisfaction relation; ``models`` and ``satisfying_assignments`` (the
+compiled sweep on a one-word family) must agree with it on every
+formula/word/assignment triple.  Sentences come from the same
 enumeration pools the experiments use, so the grid covers exactly the
 formula shapes the engine evaluates in anger.
 """
@@ -11,11 +12,21 @@ import random
 
 import pytest
 
-from repro.fc.compiled import compiled_evaluator, evaluate_compiled
 from repro.fc.enumeration import sentence_pool
-from repro.fc.semantics import evaluate_naive, satisfying_assignments
+from repro.fc.semantics import evaluate_naive, models, satisfying_assignments
 from repro.fc.structures import word_structure
-from repro.fc.syntax import And, Concat, Const, Exists, Forall, Not, Var
+from repro.fc.sweep import LanguageSweep
+from repro.fc.syntax import (
+    And,
+    Concat,
+    Const,
+    Exists,
+    Forall,
+    Formula,
+    Not,
+    Var,
+    free_variables,
+)
 from repro.fcreg.constraints import in_regex
 from repro.words.factors import factors
 from repro.words.generators import words_up_to
@@ -33,7 +44,7 @@ def test_rank1_pool_agrees_on_all_words_up_to_6():
     for word in words_up_to(ALPHABET, 6):
         structure = word_structure(word, ALPHABET)
         for sentence in sentences:
-            fast = evaluate_compiled(structure, sentence, {})
+            fast = models(word, sentence, ALPHABET)
             slow = evaluate_naive(structure, sentence, {})
             assert fast == slow, (word, sentence)
 
@@ -44,7 +55,7 @@ def test_rank2_pool_sample_agrees_on_words_up_to_4():
     for word in words_up_to(ALPHABET, 4):
         structure = word_structure(word, ALPHABET)
         for sentence in sentences:
-            fast = evaluate_compiled(structure, sentence, {})
+            fast = models(word, sentence, ALPHABET)
             slow = evaluate_naive(structure, sentence, {})
             assert fast == slow, (word, sentence)
 
@@ -63,14 +74,12 @@ OPEN_FORMULAS = [
 def test_open_formulas_agree_pointwise_and_setwise(word, formula):
     structure = word_structure(word, ALPHABET)
     universe = sorted(factors(word), key=lambda f: (len(f), f))
-    variables = sorted(
-        {X, Y, Z} & set(_free(formula)), key=lambda v: v.name
-    )
+    variables = sorted(free_variables(formula), key=lambda v: v.name)
     expected = set()
 
     def sweep(index, assignment):
         if index == len(variables):
-            fast = evaluate_compiled(structure, formula, dict(assignment))
+            fast = models(word, formula, ALPHABET, dict(assignment))
             slow = evaluate_naive(structure, formula, dict(assignment))
             assert fast == slow, (word, formula, assignment)
             if slow:
@@ -89,16 +98,9 @@ def test_open_formulas_agree_pointwise_and_setwise(word, formula):
     assert produced == expected
 
 
-def _free(formula):
-    from repro.fc.syntax import free_variables
-
-    return free_variables(formula)
-
-
 def test_assignment_dict_is_never_mutated():
-    structure = word_structure("abab", ALPHABET)
     assignment = {X: "ab"}
-    evaluate_compiled(structure, Exists(Y, Concat(Y, X, X)), assignment)
+    models("abab", Exists(Y, Concat(Y, X, X)), ALPHABET, assignment)
     assert assignment == {X: "ab"}
 
 
@@ -110,36 +112,55 @@ def test_quantifier_shadowing_restores_outer_binding():
         Exists(X, Concat(X, Const(""), Const(""))),
         Concat(X, Const("a"), Const("b")),
     )
-    for _ in range(2):  # second pass exercises the warm projection cache
-        assert evaluate_compiled(structure, formula, {X: "ab"}) is True
-        assert evaluate_naive(structure, formula, {X: "ab"}) is True
+    assert models("ab", formula, ALPHABET, {X: "ab"}) is True
+    assert evaluate_naive(structure, formula, {X: "ab"}) is True
 
 
 def test_extension_atoms_evaluate_and_bypass_the_cache():
-    # FC[REG] atoms go through the opaque _evaluate hook: results must
-    # match the naive path and must not be projection-cached (their
-    # purity is unknown).
+    # FC[REG] atoms go through the _evaluate hook and must match the
+    # naive path.
     structure = word_structure("aabab", ALPHABET)
     constraint = Exists(X, And(in_regex(X, "a(a|b)*"), Concat(X, Y, Y)))
-    evaluator = compiled_evaluator(word_structure("aabab", ALPHABET))
-    cache_before = len(evaluator._cache)
     for value in sorted(factors("aabab")):
-        fast = evaluate_compiled(structure, constraint, {Y: value})
+        fast = models("aabab", constraint, ALPHABET, {Y: value})
         slow = evaluate_naive(structure, constraint, {Y: value})
         assert fast == slow, value
-    assert id(constraint) not in evaluator._cache
-    assert len(evaluator._cache) >= cache_before  # pure siblings may cache
+    # A Const-subject constraint reads the word (⊥ when 'b' is absent),
+    # so one program evaluating a whole family must not serve it from a
+    # family-wide memo: words with and without 'b' disagree on it.
+    sentence = Exists(X, And(in_regex("b", "b"), in_regex(X, "a*")))
+    sweep = LanguageSweep(ALPHABET)
+    program = sweep.compile(sentence)
+    verdicts = set()
+    for word in words_up_to(ALPHABET, 3):
+        fast = program.evaluate(sweep.family.table(word))
+        slow = evaluate_naive(word_structure(word, ALPHABET), sentence, {})
+        assert fast == slow, word
+        verdicts.add(fast)
+    assert verdicts == {True, False}
 
 
 def test_projection_cache_is_shared_across_outer_bindings():
-    # The inner sentence ∃y.(y ≐ y·y ... ) has no free variables, so under
-    # an outer enumeration it must be computed once and then served from
-    # the projection cache.
+    # The inner sentence ∃y.probe(y) has no free variables, so under the
+    # outer scan over x it must be computed once and then served from the
+    # quantifier's projection cache: the probe (a non-pure atom, never
+    # memoised itself) runs once per factor, not once per (x, y) pair.
+    calls = []
+
+    class Probe(Formula):
+        def _evaluate(self, structure, assignment):
+            calls.append(assignment[Y])
+            return False
+
+        def _quantifier_rank(self):
+            return 0
+
+        def _atom_terms(self):
+            yield Y
+
     word = "abba"
-    structure = word_structure(word, ALPHABET)
-    inner = Exists(Y, And(Concat(Y, Y, Y), Not(Concat(Y, Const(""), Const("")))))
+    inner = Exists(Y, Probe())
     formula = Exists(X, And(Concat(X, X, Const("")), inner))
-    evaluator = compiled_evaluator(structure)
-    evaluate_compiled(structure, formula, {})
-    projections = evaluator._cache[id(inner)]
-    assert projections[()] == evaluate_naive(structure, inner, {})
+    assert models(word, formula, ALPHABET) is False
+    assert sorted(calls) == sorted(factors(word))
+    assert evaluate_naive(word_structure(word, ALPHABET), formula, {}) is False
