@@ -79,7 +79,7 @@ GATED_COUNTERS = (
 
 TOLERANCE = 0.20
 
-#: ``cachestats`` names whose lru_cache must hold its entire workload
+#: ``repro.metrics`` lru sites whose cache must hold its entire workload
 #: (no evictions) by the end of the smoke run, mapped to a minimum hit
 #: count proving the memo actually shares work.  ``solver_for`` was
 #: resized after the maxsize-512 thrash regression (2 087 misses vs 29
@@ -234,7 +234,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if not BASELINE_PATH.exists():
         print(f"missing {BASELINE_PATH}; run with --update first")
         return 2
-    from repro import cachestats
+    from repro import metrics
 
     # Caches register at module import; no smoke task imports the
     # spanner layer, so pull it in explicitly to keep the "is not
@@ -243,7 +243,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     baseline = json.loads(BASELINE_PATH.read_text())
     failures = check(report, baseline, options.tolerance)
-    failures.extend(check_lru(cachestats.snapshot()))
+    failures.extend(check_lru(metrics.snapshot()["lru"]))
     totals = report.solver.get("totals", {})
     print(
         f"bench-smoke: {len(report.records)} tasks, "

@@ -18,7 +18,9 @@ the shared effect analysis (:mod:`repro.analysis.effects`), the
   functions that run inside forked worker pools (the same root set as
   ``effects.worker-isolation``);
 * **thread-shared locations** — module-level bindings (shared by
-  definition: one interpreter, one module object) and fields of
+  definition: one interpreter, one module object; a global bound to
+  ``threading.local()`` is the exception — every thread sees its own
+  attributes, so writes through it are thread-confined) and fields of
   *shared classes*: the configured server/service singletons, closed
   over field-annotation types, subclasses, and classes returned by
   lru_cached thread-reachable factories (an lru cache is process-global
@@ -26,7 +28,7 @@ the shared effect analysis (:mod:`repro.analysis.effects`), the
 * **lock regions** — ``with <lock>:`` scopes over lock objects
   (module-level / class-level / ``self`` fields built by
   ``threading.Lock`` and friends, plus *accessor functions* that return
-  one — the pid-guarded ``_lock()`` pattern in the stats modules), with
+  one — the pid-guarded ``_lock()`` pattern of ``repro.metrics``), with
   a must-hold interprocedural pass so a helper that is only ever called
   under a lock counts as guarded;
 * **GuardedBy inference** — per shared location, the set of locks held
@@ -161,6 +163,8 @@ class ConcurrencyAnalysis:
         self.field_locks: set[str] = set()
         #: location id → constructor dotted name
         self.resources: dict[str, str] = {}
+        #: module globals bound to ``threading.local()``
+        self.thread_locals: set[str] = set()
         #: resource/lock bindings with a getpid-compare-and-rebuild guard
         self.pid_guarded: set[str] = set()
         #: function qualname → lock id it returns (accessor pattern)
@@ -271,6 +275,8 @@ class ConcurrencyAnalysis:
                         )
                     if ctor in _RESOURCE_CONSTRUCTORS:
                         self.resources[f"global:{dotted}"] = ctor
+                    if ctor == "threading.local":
+                        self.thread_locals.add(f"global:{dotted}")
 
     def _index_field_bindings(self) -> None:
         """Locks/resources bound to ``self`` fields or class attributes."""
@@ -539,6 +545,17 @@ class ConcurrencyAnalysis:
                 return True
         return False
 
+    def _global_location(self, root: str) -> str | None:
+        """``root`` if it is a thread-shared global, else ``None``.
+
+        Anything reached through a ``threading.local()`` global is the
+        calling thread's own (``cell = _LOCAL.cell; cell[k] += 1``), so
+        it is treated like a local.
+        """
+        if root.startswith("global:") and root not in self.thread_locals:
+            return root
+        return None
+
     def _expr_location(
         self, expr: ast.expr, info, scanner, alias: dict[str, str]
     ) -> str | None:
@@ -549,9 +566,7 @@ class ConcurrencyAnalysis:
             if expr.id in alias:
                 return alias[expr.id]
             root, _ = scanner._name_root_type(expr.id)
-            if root.startswith("global:"):
-                return root
-            return None
+            return self._global_location(root)
         if isinstance(expr, ast.Attribute):
             base = expr.value
             if (
@@ -562,9 +577,7 @@ class ConcurrencyAnalysis:
                 owner = self.owner_class(info.cls, expr.attr)
                 return f"field:{owner}.{expr.attr}"
             root, _ = scanner._resolve_chain(expr)
-            if root.startswith("global:"):
-                return root
-            return None
+            return self._global_location(root)
         return None
 
     def _lock_of(

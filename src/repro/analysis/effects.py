@@ -31,8 +31,8 @@ tracked *per parameter* — the inferred atom is ``mutates-arg:<name>``
 parameter; a caller passing a fresh accumulator list absorbs the
 effect instead of inheriting it.
 
-Functions in the configured *counter modules* (``repro.kernel.stats``,
-``repro.cachestats``) carry the declared summary ``{counter}`` — effort
+Functions in the configured *counter modules* (``repro.metrics``) carry
+the declared summary ``{counter}`` — effort
 accounting is exempt by design.  Functions in the *store modules*
 (``repro.store.runtime`` and friends) likewise carry ``{store}``: the
 artifact store is a content-addressed hydration channel whose hits are

@@ -351,7 +351,7 @@ class LintConfig:
     )
     # Top-level modules below the whole DAG (importable from any layer,
     # may import nothing from the package).
-    leaf_modules: tuple[str, ...] = ("repro.cachestats",)
+    leaf_modules: tuple[str, ...] = ("repro.metrics",)
     # Top-level entry points above the whole DAG.
     unconstrained_modules: tuple[str, ...] = ("repro", "repro.__main__")
     # Dispatch hierarchies: root class → module whose leaf subclasses form
@@ -404,11 +404,7 @@ class LintConfig:
     )
     # Modules whose functions carry the trusted {counter} effect summary
     # (process-wide effort accounting, exempt from the purity rules).
-    counter_modules: tuple[str, ...] = (
-        "repro.cachestats",
-        "repro.kernel.stats",
-        "repro.store.stats",
-    )
+    counter_modules: tuple[str, ...] = ("repro.metrics",)
     # Modules whose functions carry the trusted {store} effect summary —
     # the artifact-store channel.  Hydration code may reach persistent
     # storage only by calling into these; effects.worker-isolation flags

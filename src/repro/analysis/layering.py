@@ -9,7 +9,7 @@ where a package may import from its own layer or any layer below, never
 above.  Upward imports create initialisation cycles and — worse for a
 proof lab — let substrate modules depend on experiment-orchestration
 semantics.  Two escape hatches exist: *leaf* modules (e.g.
-``repro.cachestats``) sit below the whole DAG and may be imported from
+``repro.metrics``) sit below the whole DAG and may be imported from
 anywhere, and *unconstrained* entry points (``repro.__main__``) sit
 above it.
 """
@@ -90,7 +90,7 @@ class ImportLayeringChecker(Checker):
                         f"{self._short(imported_package)})",
                         hint=(
                             "move the shared code below both layers (cf. "
-                            "repro.cachestats) or invert the dependency"
+                            "repro.metrics) or invert the dependency"
                         ),
                     )
 
@@ -130,7 +130,7 @@ class ImportLayeringChecker(Checker):
                 if base is None:
                     continue
                 yield node, base
-                # ``from repro import cachestats`` imports the submodule
+                # ``from repro import metrics`` imports the submodule
                 # even though the base is just ``repro``.
                 for alias in node.names:
                     yield node, f"{base}.{alias.name}"

@@ -2,7 +2,7 @@
 
 A memoised function is only sound if its result is a pure function of
 its arguments.  The repo instruments a handful of hot constructors with
-``functools.lru_cache`` (see ``repro.cachestats``); this rule flags the
+``functools.lru_cache`` (see ``repro.metrics``); this rule flags the
 ways such a site can silently go impure:
 
 * mutable default arguments — the default is captured once, shared

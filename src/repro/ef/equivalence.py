@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from repro import metrics
 from repro.ef.solver import GameSolver
-from repro import cachestats
 from repro.fc.structures import word_structure
 
 __all__ = [
@@ -56,7 +56,7 @@ def solver_for(w: str, v: str, alphabet: str) -> GameSolver:
     )
 
 
-cachestats.register("ef.equivalence.solver_for", solver_for)
+metrics.register("ef.equivalence.solver_for", solver_for)
 
 
 def equiv_k(w: str, v: str, k: int, alphabet: str | None = None) -> bool:

@@ -227,7 +227,7 @@ class GameSolver:
         differed from their literal form), ``consistency_checks``
         (incremental pair validations), plus ``memo_size`` and the two
         universe sizes.  Process-wide totals flow into
-        ``BENCH_engine.json`` via :mod:`repro.kernel.stats`.
+        ``BENCH_engine.json`` via :mod:`repro.metrics`.
         """
         out = self._core.stats()
         out["memo_size"] = self._core.memo_size()

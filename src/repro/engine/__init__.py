@@ -17,9 +17,6 @@ collection efficiently:
   ``jobs=1``, a multiprocessing worker pool otherwise, with per-task
   wall-time metrics, single-task failure isolation and deterministic
   result ordering;
-* :mod:`repro.engine.cachestats` — facade over :mod:`repro.cachestats`,
-  the registry that routes the in-process ``lru_cache`` statistics of
-  the solver-adjacent modules into engine reports;
 * :mod:`repro.engine.primitives` — pure, picklable entry points around
   ``ef.solver`` / ``ef.equivalence`` / ``ef.synthesis`` /
   ``core.witnesses``;
@@ -29,8 +26,9 @@ collection efficiently:
 
 ``experiments``, ``primitives`` and ``cli`` import the whole solver
 stack, so they are *not* imported here — this module must stay light.
-The instrumented solver modules import the layer-free
-:mod:`repro.cachestats` leaf directly at import time.
+Every counter and ``lru_cache`` site the executor samples per unit
+lives in the layer-free :mod:`repro.metrics` leaf, which the
+instrumented modules import directly at import time.
 """
 
 from __future__ import annotations

@@ -39,12 +39,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.engine import cachestats
+from repro import metrics
 from repro.engine.cache import ResultCache
-from repro.kernel import stats as solver_stats
 from repro.store import ArtifactStore
 from repro.store import runtime as store_runtime
-from repro.store import stats as store_stats
 from repro.engine.dag import topological_order, validate_dag
 from repro.engine.spec import (
     TaskRegistry,
@@ -59,6 +57,16 @@ __all__ = ["EngineReport", "run_tasks"]
 _POLL_INTERVAL = 0.005
 
 _DELTA_FIELDS = ("lru_delta", "solver_delta", "store_delta")
+
+
+def _no_deltas() -> dict[str, Any]:
+    """The metrics fields of a record that did no work in this run."""
+    return {
+        "lru_delta": {},
+        "lru_registered": [],
+        "solver_delta": {},
+        "store_delta": {},
+    }
 
 
 @dataclass
@@ -137,9 +145,7 @@ def _execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
     path inside the worker.
     """
     name = payload["task"]
-    before = cachestats.snapshot()
-    solver_before = solver_stats.snapshot()
-    store_before = store_stats.snapshot()
+    before = metrics.snapshot()
     start = time.perf_counter()
     try:
         fn = resolve_function(payload["fn"])
@@ -154,6 +160,7 @@ def _execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
             "traceback": traceback.format_exc(),
         }
     wall = time.perf_counter() - start
+    delta = metrics.diff(before, metrics.snapshot())
     record = {
         "task": name,
         "status": status,
@@ -162,13 +169,13 @@ def _execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
         "wall_time_s": round(wall, 6),
         "args_bytes": len(canonical_json(payload["args"])),
         "result_bytes": len(canonical_json(result)) if result is not None else 0,
-        "lru_delta": cachestats.diff(before, cachestats.snapshot()),
+        "lru_delta": delta["lru"],
         # Names registered *in the executing process* — with lazy task
         # imports and a worker pool, the parent process may never see
         # these sites, so the record is the only place they surface.
-        "lru_registered": cachestats.registered_names(),
-        "solver_delta": solver_stats.diff(solver_before, solver_stats.snapshot()),
-        "store_delta": store_stats.diff(store_before, store_stats.snapshot()),
+        "lru_registered": metrics.registered_names(),
+        "solver_delta": delta["solver"],
+        "store_delta": delta["store"],
     }
     return record
 
@@ -187,10 +194,7 @@ def _skipped_record(name: str, failed_deps: list[str]) -> dict[str, Any]:
         "args_bytes": 0,
         "result_bytes": 0,
         "cache": "none",
-        "lru_delta": {},
-        "lru_registered": [],
-        "solver_delta": {},
-        "store_delta": {},
+        **_no_deltas(),
     }
 
 
@@ -202,10 +206,7 @@ def _zeroed_hit(cached: dict[str, Any]) -> dict[str, Any]:
     """
     record = dict(cached)
     record["cache"] = "hit"
-    record["lru_delta"] = {}
-    record["lru_registered"] = []
-    record["solver_delta"] = {}
-    record["store_delta"] = {}
+    record.update(_no_deltas())
     return record
 
 
@@ -292,8 +293,8 @@ def _worker_init(store: ArtifactStore | None) -> None:
     """Pool initializer: arm process-global state in every worker.
 
     Under ``fork`` this is belt-and-braces (workers inherit the parent's
-    activated store; the stats locks re-arm themselves via their pid
-    guards).  Under ``spawn`` it is load-bearing: the worker is a fresh
+    activated store; the metrics lock re-arms itself via its pid
+    guard).  Under ``spawn`` it is load-bearing: the worker is a fresh
     interpreter, so the artifact store must be re-activated from the
     pickled backend for warm-starts to work at all.
     """
@@ -376,37 +377,24 @@ def run_tasks(
     shard_summary: dict[str, dict[str, Any]] = {}
     started = time.perf_counter()
 
-    # Run-wide accumulators.  With a worker pool, executed records are the
-    # *only* channel for worker-process cache/solver activity (lazy task
-    # imports mean the parent process typically registers nothing), so the
-    # per-record deltas are merged here in the parent.  Sharded tasks
-    # contribute exactly once: their shard deltas are folded into the
-    # merge record before it is absorbed.
-    worker_lru_totals: dict[str, dict[str, int]] = {}
+    # Run-wide accumulators: Σ of the executed records' deltas, by record
+    # field.  With a worker pool, executed records are the *only* channel
+    # for worker-process activity (lazy task imports mean the parent
+    # process typically registers nothing), so the per-record deltas are
+    # merged here in the parent.  Sharded tasks contribute exactly once:
+    # their shard deltas are folded into the merge record before it is
+    # absorbed.
+    unit_totals: dict[str, dict[str, Any]] = {
+        fieldname: {} for fieldname in _DELTA_FIELDS
+    }
     seen_registered: set[str] = set()
-    solver_totals: dict[str, int] = {}
-    pooled = jobs > 1
-
-    store_totals: dict[str, int] = {}
+    run_before = metrics.snapshot()
 
     def absorb(record: dict[str, Any]) -> None:
         """Fold one executed record's deltas into the run accumulators."""
         seen_registered.update(record.get("lru_registered", ()))
-        for counter, amount in record.get("solver_delta", {}).items():
-            solver_totals[counter] = solver_totals.get(counter, 0) + amount
-        for counter, amount in record.get("store_delta", {}).items():
-            store_totals[counter] = store_totals.get(counter, 0) + amount
-        if not pooled:
-            # Sequential execution happened in *this* process: the main
-            # snapshot already contains these deltas; merging them again
-            # would double-count.
-            return
-        for cache_name, counters in record.get("lru_delta", {}).items():
-            bucket = worker_lru_totals.setdefault(
-                cache_name, {"hits": 0, "misses": 0, "currsize": 0}
-            )
-            for fieldname in ("hits", "misses", "currsize"):
-                bucket[fieldname] += counters.get(fieldname, 0)
+        for fieldname in _DELTA_FIELDS:
+            _merge_delta(unit_totals[fieldname], record.get(fieldname, {}))
 
     def finish(name: str, record: dict[str, Any]) -> None:
         records[name] = record
@@ -601,10 +589,7 @@ def run_tasks(
             "args_bytes": 0,
             "result_bytes": 0,
             "cache": "none",
-            "lru_delta": {},
-            "lru_registered": [],
-            "solver_delta": {},
-            "store_delta": {},
+            **_no_deltas(),
         }
         state.fold_into(record)
         record["shards"] = state.attribution()
@@ -693,11 +678,15 @@ def run_tasks(
 
     elapsed = time.perf_counter() - started
     ordered = [records[name] for name in sorted(records)]
-    main_snapshot = cachestats.snapshot()
-    totals = cachestats.aggregate(main_snapshot)
-    for counters in worker_lru_totals.values():
-        for fieldname in ("hits", "misses", "currsize"):
-            totals[fieldname] += counters[fieldname]
+    # The parent's own lru traffic over this run.  Sequential units ran
+    # in this process, so their deltas are already in it and no worker
+    # bucket may repeat them.
+    main_lru = metrics.diff(run_before, metrics.snapshot())["lru"]
+    worker_lru = unit_totals["lru_delta"] if jobs > 1 else {}
+    lru_totals = {"hits": 0, "misses": 0, "currsize": 0}
+    for counters in (*main_lru.values(), *worker_lru.values()):
+        for fieldname in lru_totals:
+            lru_totals[fieldname] += counters[fieldname]
     return EngineReport(
         jobs=jobs,
         jobs_requested=jobs_requested,
@@ -706,26 +695,17 @@ def run_tasks(
         cache=cache.describe(),
         lru_caches={
             "registered": sorted(
-                set(cachestats.registered_names()) | seen_registered
+                set(metrics.registered_names()) | seen_registered
             ),
-            "main_process": main_snapshot,
-            "workers": {
-                name: worker_lru_totals[name]
-                for name in sorted(worker_lru_totals)
-            },
-            "totals": totals,
+            "main_process": main_lru,
+            "workers": {name: worker_lru[name] for name in sorted(worker_lru)},
+            "totals": lru_totals,
         },
-        solver={
-            "totals": {
-                name: solver_totals[name] for name in sorted(solver_totals)
-            },
-        },
+        solver={"totals": dict(sorted(unit_totals["solver_delta"].items()))},
         store={
             "enabled": store is not None,
             "backend": store.describe() if store is not None else None,
-            "totals": {
-                name: store_totals[name] for name in sorted(store_totals)
-            },
+            "totals": dict(sorted(unit_totals["store_delta"].items())),
         },
         shards={
             "width": shard_width,

@@ -52,10 +52,12 @@ _ENGINE_VERSION = "2"
 #: post-shard monolithic runs whose task functions were refactored
 #: around the shared shard helpers.  E19 and prim/pow2-pairs moved to
 #: "3" when the arithmetic unary solver was retired: their ≡_k checks
-#: now run on the kernel through ``repro.ef.equivalence``.
+#: now run on the kernel through ``repro.ef.equivalence``.  E02 moved
+#: to "7" when its shard lane started scoping duplicated sweeps through
+#: ``repro.metrics`` (same counters, same results).
 _TASK_VERSIONS = {
     "E01": "3",
-    "E02": "6",
+    "E02": "7",
     "E05": "7",
     "E16": "3",
     "E18": "3",
@@ -212,8 +214,8 @@ def plan_e02(
 def run_e02_shard(
     max_length: int = 5, pool_rank: int = 1, *, shard: dict[str, Any]
 ) -> dict[str, Any]:
+    from repro import metrics
     from repro.fc.semantics import language_signatures
-    from repro.kernel import stats as kernel_stats
 
     pool, words = _e02_pool_words(max_length, pool_rank)
     if shard["lane"] == 0:
@@ -221,7 +223,7 @@ def run_e02_shard(
     else:
         # Every lane needs the full signature table; only lane 0 owns
         # it, so the other lanes' sweeps are attributed as duplication.
-        with kernel_stats.shard_overhead():
+        with metrics.shard_overhead():
             signatures = dict(language_signatures(pool, "ab", words))
     pairs, consistent, separated_confirmed, violations = _e02_scan(
         words,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator
 
-from repro.kernel import stats as kernel_stats
+from repro import metrics
 from repro.fc.structures import BOTTOM, WordStructure, word_structure
 from repro.fc.sweep import LanguageSweep
 from repro.store import artifacts as store_artifacts, runtime as store_runtime
@@ -310,7 +310,7 @@ def satisfying_tuples(
             )
             if payload is not None:
                 grid = store_artifacts.decode_relation_rows(payload)
-                kernel_stats.record("sweep_relations_hydrated", len(grid))
+                metrics.record("sweep_relations_hydrated", len(grid))
                 for word, rows in grid:
                     yield word, project(rows)
                 return
@@ -465,7 +465,7 @@ def defines_language_members_shard(
     words the family has seen.  Factor tables the shard needs but does
     not own (the stem path below a subtree root, the chain below a
     unary band) are built under
-    :func:`repro.kernel.stats.shard_overhead`, so summed across a full
+    :func:`repro.metrics.shard_overhead`, so summed across a full
     partition the real sweep counters equal the monolithic run's and
     the duplicated stem work is measured in ``shard_overhead_ops``.
     """
@@ -487,7 +487,7 @@ def defines_language_members_shard(
             if length and previous != length - 1:
                 # The band's below-the-floor chain belongs to another
                 # shard; build it as attributed overhead, then extend.
-                with kernel_stats.shard_overhead():
+                with metrics.shard_overhead():
                     family.table(word[:-1])
             yield word, program.evaluate(family.table(word))
             previous = length

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from repro import cachestats
+from repro import metrics
 from repro.words.factors import factors
 
 __all__ = ["BOTTOM", "Bottom", "WordStructure", "word_structure"]
@@ -241,4 +241,4 @@ def word_structure(word: str, alphabet: str) -> WordStructure:
     return WordStructure(word, alphabet)
 
 
-cachestats.register("fc.structures.word_structure", word_structure)
+metrics.register("fc.structures.word_structure", word_structure)

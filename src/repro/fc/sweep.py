@@ -77,6 +77,7 @@ hypothesis-generated formulas, including regex- and oracle-bearing ones.
 
 from __future__ import annotations
 
+from repro import metrics
 from repro.fc.syntax import (
     And,
     Concat,
@@ -93,7 +94,6 @@ from repro.fc.syntax import (
     free_variables,
 )
 from repro.fc.structures import word_structure
-from repro.kernel import stats
 from repro.kernel.bitset import iter_ids
 from repro.kernel.sweep import SweepFamily, SweepTable
 
@@ -761,7 +761,7 @@ class SweepProgram:
             ctx.env[self._slot_of[var]] = self.family.intern(assignment[var])
         result = self._eval(self.root, ctx)
         if ctx.bitops:
-            stats.record("sweep_bitset_ops", ctx.bitops)
+            metrics.record("sweep_bitset_ops", ctx.bitops)
         return result
 
     # repro-lint: domain[returns=iter[map[slot, intern:sweep]]] rows are slot-indexed gid tuples; reindex them only through declared slot maps
@@ -789,9 +789,9 @@ class SweepProgram:
         else:
             self._relation_scan(0, ctx, rows)
         if ctx.bitops:
-            stats.record("sweep_bitset_ops", ctx.bitops)
+            metrics.record("sweep_bitset_ops", ctx.bitops)
         if rows:
-            stats.record("sweep_relation_rows", len(rows))
+            metrics.record("sweep_relation_rows", len(rows))
         return rows
 
     def _relation_scan(self, level: int, ctx: _Ctx, rows: list) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro import cachestats
+from repro import metrics
 from repro.foeq.syntax import (
     FactorEq,
     Less,
@@ -227,4 +227,4 @@ def position_program(formula: PFormula) -> PositionProgram:
     return PositionProgram(formula)
 
 
-cachestats.register("foeq.position_program", position_program)
+metrics.register("foeq.position_program", position_program)

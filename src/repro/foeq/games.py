@@ -28,8 +28,8 @@ Results and the deterministic move/response ordering are bit-for-bit
 those of the original string-based solver, which survives as
 :class:`repro.foeq.naive.NaivePositionGameSolver` — the oracle that
 ``tests/foeq/test_games_differential.py`` checks this one against.
-Search-effort counters flow into :mod:`repro.kernel.stats`
-(``foeq_positions_explored`` …) so the engine's per-task sampling covers
+Search-effort counters flow into :mod:`repro.metrics`
+(``foeq_positions_explored`` …) so the engine's per-unit sampling covers
 this solver like every other.
 """
 
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import metrics
 from repro.foeq.naive import position_partial_iso
-from repro.kernel import stats as _global_stats
 
 __all__ = [
     "position_partial_iso",
@@ -100,7 +100,7 @@ class PositionGameSolver:
 
     def _bump(self, name: str) -> None:
         self._counters[name] += 1
-        _global_stats.record(f"foeq_{name}")
+        metrics.record(f"foeq_{name}")
 
     # -- consistency -----------------------------------------------------------
 
@@ -237,7 +237,7 @@ class PositionGameSolver:
         ``table_hits``, ``consistency_checks`` (incremental pair
         validations), plus ``memo_size`` and the two universe sizes.
         Process-wide totals flow into ``BENCH_engine.json`` via the
-        ``foeq_*`` counters of :mod:`repro.kernel.stats`.
+        ``foeq_*`` counters of :mod:`repro.metrics`.
         """
         out = dict(self._counters)
         out["memo_size"] = len(self._memo)

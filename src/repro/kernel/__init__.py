@@ -14,12 +14,13 @@ Layering: ``kernel`` sits between ``words`` and ``{fc, fcreg}`` in the
 import DAG (see ``repro.analysis.layering``).  It therefore cannot and
 does not import the FC syntax or structure classes; ⊥ is represented by
 the reserved id 0 (:data:`BOTTOM_ID`), and the layers above translate
-between elements and ids at their boundary.
+between elements and ids at their boundary.  Search-effort counters
+and the kernel's lru caches report to the layer-free
+:mod:`repro.metrics` registry, which sits below the whole DAG.
 """
 
 from __future__ import annotations
 
-from repro.kernel import stats
 from repro.kernel.automorphisms import automorphism_group
 from repro.kernel.efcore import KernelSolver
 from repro.kernel.interning import (
@@ -36,5 +37,4 @@ __all__ = [
     "automorphism_group",
     "intern_restricted_table",
     "intern_table",
-    "stats",
 ]

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro import cachestats
-from repro.kernel import stats
+from repro import metrics
 from repro.kernel.interning import InternTable
 from repro.store import artifacts, runtime as store_runtime
 
@@ -179,7 +178,7 @@ def automorphism_group(table: InternTable) -> tuple[tuple[int, ...], ...]:
     n = table.n_factors
     identity = tuple(range(n + 1))
     if n > _MAX_UNIVERSE:
-        stats.record("automorphism_cap_hits")
+        metrics.record("automorphism_cap_hits")
         return (identity,)
     args = None
     if store_runtime.active() is not None and n >= _STORE_MIN_UNIVERSE:
@@ -192,13 +191,13 @@ def automorphism_group(table: InternTable) -> tuple[tuple[int, ...], ...]:
             artifacts.AUTOMORPHISM_KIND, artifacts.AUTOMORPHISM_VERSION, args
         )
         if payload is not None:
-            stats.record("automorphism_groups_hydrated")
+            metrics.record("automorphism_groups_hydrated")
             return artifacts.decode_permutations(payload)
     group = _enumerate(table)
     if group is None:
         # The identity fallback is never persisted: it reflects this
         # build's cap settings, not a property of the structure.
-        stats.record("automorphism_cap_hits")
+        metrics.record("automorphism_cap_hits")
         return (identity,)
     if args is not None:
         store_runtime.publish(
@@ -210,4 +209,4 @@ def automorphism_group(table: InternTable) -> tuple[tuple[int, ...], ...]:
     return group
 
 
-cachestats.register("kernel.automorphism_group", automorphism_group)
+metrics.register("kernel.automorphism_group", automorphism_group)

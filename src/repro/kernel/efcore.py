@@ -30,13 +30,13 @@ preference order, same results — while replacing its three hot costs:
   integer arithmetic over precomputed mirror maps and length arrays.
 
 Search-effort counters are kept per instance (see :meth:`stats`) and
-mirrored into the process-global :mod:`repro.kernel.stats`, which the
+mirrored into the process-wide :mod:`repro.metrics` registry, which the
 engine samples into ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
-from repro.kernel import stats as _global_stats
+from repro import metrics
 from repro.kernel.automorphisms import automorphism_group
 from repro.kernel.interning import InternTable
 
@@ -85,7 +85,7 @@ class PartialIsoCheck:
         # skews a diagnostic, never a verdict.
         # repro-lint: allow[concurrency.shared-state-race] advisory counters
         self.counters[name] += amount
-        _global_stats.record(name, amount)
+        metrics.record(name, amount)
 
     def _check_base(self) -> bool:
         """Are the constant vectors alone a partial isomorphism?"""
@@ -212,7 +212,7 @@ class KernelSolver(PartialIsoCheck):
         group_a = automorphism_group(self.table_a)
         group_b = automorphism_group(self.table_b)
         if len(group_a) * len(group_b) > _MAX_SYM_PRODUCT:
-            _global_stats.record("symmetry_product_skips")
+            metrics.record("symmetry_product_skips")
             return ()
         identity_a = tuple(range(self._n_a + 1))
         identity_b = tuple(range(self._n_b + 1))
@@ -463,7 +463,7 @@ class KernelSolver(PartialIsoCheck):
                 memo[key] = value
                 fresh += 1
         if fresh:
-            _global_stats.record("ef_memo_entries_hydrated", fresh)
+            metrics.record("ef_memo_entries_hydrated", fresh)
 
     def stats(self) -> dict[str, int]:
         """This instance's search-effort counters (a copy)."""

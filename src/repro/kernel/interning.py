@@ -26,7 +26,7 @@ indexed by id:
   ``RestrictedStructure.constant``.
 
 Tables are built once per ``(word, alphabet[, allowed])`` and shared via
-``repro.cachestats``-registered lru caches, so every solver/evaluator
+``repro.metrics``-registered lru caches, so every solver/evaluator
 instance and every engine task in a worker process reuses the same
 table object.  The dataclass uses identity hashing (``eq=False``) so
 downstream per-table caches key on that shared identity, not on a deep
@@ -38,8 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro import cachestats
-from repro.kernel import stats
+from repro import metrics
 from repro.store import artifacts, runtime as store_runtime
 from repro.words.factors import factors
 
@@ -151,7 +150,7 @@ def _build(word: str, alphabet: tuple[str, ...], allowed: frozenset[str]) -> Int
     const_ids = tuple(
         id_of.get(symbol, BOTTOM_ID) for symbol in (*alphabet, "")
     )
-    stats.record("tables_built")
+    metrics.record("tables_built")
     return InternTable(
         word=word,
         alphabet=alphabet,
@@ -183,7 +182,7 @@ def intern_table(word: str, alphabet: tuple[str, ...]) -> InternTable:
             args,
         )
         if payload is not None:
-            stats.record("tables_hydrated")
+            metrics.record("tables_hydrated")
             return _build(word, alphabet, frozenset(payload))
         universe = factors(word)
         store_runtime.publish(
@@ -209,5 +208,5 @@ def intern_restricted_table(
     return _build(word, alphabet, allowed)
 
 
-cachestats.register("kernel.intern_table", intern_table)
-cachestats.register("kernel.intern_restricted_table", intern_restricted_table)
+metrics.register("kernel.intern_table", intern_table)
+metrics.register("kernel.intern_restricted_table", intern_restricted_table)

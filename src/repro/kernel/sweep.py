@@ -24,13 +24,14 @@ prefix-extended universe equals from-scratch interning of
 ``factors(word)`` for every word of enumerated grids.
 
 Effort counters (``sweep_words_interned``, ``sweep_tables_extended``,
-``sweep_tables_rebuilt``) flow through :mod:`repro.kernel.stats` into the
+``sweep_tables_rebuilt``) flow through :mod:`repro.metrics` into the
 engine report, same as the EF solver's.
 """
 
 from __future__ import annotations
 
-from repro.kernel import bitset, stats
+from repro import metrics
+from repro.kernel import bitset
 
 __all__ = ["SweepFamily", "SweepSubtree", "SweepTable"]
 
@@ -167,8 +168,8 @@ class SweepFamily:
             bitset.declare_universe(bitset.from_ids(universe), "sweep"),
         )
         self._tables[word] = table
-        stats.record("sweep_tables_hydrated")
-        stats.record("sweep_words_interned")
+        metrics.record("sweep_tables_hydrated")
+        metrics.record("sweep_words_interned")
         return table
 
     def export(self, word: str) -> list:
@@ -183,7 +184,7 @@ class SweepFamily:
         The view shares the global intern pool, the concatenation cache
         and every table already built; it only changes *attribution*:
         the prefix-path tables below the subtree root (which another
-        shard owns) are built under :func:`repro.kernel.stats.shard_overhead`,
+        shard owns) are built under :func:`repro.metrics.shard_overhead`,
         so a shard partition's real sweep counters stay exactly
         conserved against the monolithic run.
         """
@@ -201,8 +202,8 @@ class SweepFamily:
                 bitset.declare_universe(1 << eps, "sweep"),
             )
             self._tables[""] = table
-            stats.record("sweep_tables_rebuilt")
-            stats.record("sweep_words_interned")
+            metrics.record("sweep_tables_rebuilt")
+            metrics.record("sweep_words_interned")
         return table
 
     def _extend(self, parent: SweepTable, word: str) -> SweepTable:
@@ -234,8 +235,8 @@ class SweepFamily:
             bitset.declare_universe(mask, "sweep"),
         )
         self._tables[word] = table
-        stats.record("sweep_tables_extended")
-        stats.record("sweep_words_interned")
+        metrics.record("sweep_tables_extended")
+        metrics.record("sweep_words_interned")
         return table
 
     # repro-lint: domain[returns=iter[intern:sweep], old=iter[intern:sweep]] both inputs carry this family's gids
@@ -266,7 +267,7 @@ class SweepSubtree:
     shard still needs the factor tables of the subtree root's strict
     ancestors — ``table(prefix)`` extends from ε — but those words
     belong to another shard, so :meth:`prepare` builds them inside a
-    :func:`repro.kernel.stats.shard_overhead` scope: the duplicated stem
+    :func:`repro.metrics.shard_overhead` scope: the duplicated stem
     work lands in ``shard_overhead_ops`` and the per-word counters
     (``sweep_words_interned``, ``sweep_tables_extended``, …) count every
     word of the grid exactly once across a full shard partition.
@@ -288,7 +289,7 @@ class SweepSubtree:
         if self._prepared:
             return
         self._prepared = True
-        with stats.shard_overhead():
+        with metrics.shard_overhead():
             self.family.table(self.prefix[:-1])
 
     def table(self, word: str) -> SweepTable:

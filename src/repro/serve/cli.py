@@ -13,8 +13,8 @@ import argparse
 import itertools
 from typing import Any
 
+from repro import metrics
 from repro.engine.cli import STORE_DEFAULT, resolve_store
-from repro.store import stats as store_stats
 
 __all__ = ["add_serve_parser", "add_warm_parser", "cmd_serve", "cmd_warm"]
 
@@ -149,7 +149,7 @@ def cmd_warm(args: argparse.Namespace) -> int:
         pairs = list(_DEFAULT_BATTERY)
         words = list(dict.fromkeys(w for pair in pairs for w in pair[:2]))
 
-    before = store_stats.snapshot()
+    before = metrics.snapshot()
     previous = store_runtime.activate(store)
     try:
         for word in words:
@@ -168,7 +168,7 @@ def cmd_warm(args: argparse.Namespace) -> int:
     finally:
         store_runtime.deactivate(previous)
 
-    delta = store_stats.diff(before, store_stats.snapshot())
+    delta = metrics.diff(before, metrics.snapshot())["store"]
     print(
         f"warmed {len(words)} word(s), {len(pairs)} pair(s) into {where} — "
         f"store: {delta.get('store_hits', 0)} hit(s), "

@@ -10,13 +10,13 @@ forking a fresh Python.
 Connections are thread-per-client; queries from one connection are
 answered in order.  The kernel stack is safe under this model for the
 query mix the protocol admits: solver memo tables are only grown with
-idempotent entries, counter modules take their module lock, and the
-store backend is concurrent-reader/writer safe (sqlite WAL or a
-lock-free in-memory dict).  This claim is machine-checked, not asserted:
-the ``concurrency.*`` lint rules walk the call graph from this module's
-handler entry points and flag any unsynchronized write to thread-shared
-state — every surviving site is either guarded or carries a reasoned
-``allow`` pin at the write.
+idempotent entries, counter bumps land in each handler thread's own
+``repro.metrics`` cell, and the store backend is concurrent-reader/writer
+safe (sqlite WAL or a lock-free in-memory dict).  This claim is
+machine-checked, not asserted: the ``concurrency.*`` lint rules walk the
+call graph from this module's handler entry points and flag any
+unsynchronized write to thread-shared state — every surviving site is
+either guarded or carries a reasoned ``allow`` pin at the write.
 
 ``shutdown`` stops the accept loop after the acknowledging response has
 been flushed to the requesting client.

@@ -15,9 +15,9 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
+from repro import metrics
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.store import runtime as store_runtime
-from repro.store import stats as store_stats
 
 __all__ = ["QueryService"]
 
@@ -52,7 +52,7 @@ class QueryService:
         store = store_runtime.active()
         return {
             "store": store.describe() if store is not None else None,
-            "counters": store_stats.snapshot(),
+            "counters": metrics.snapshot()["store"],
         }
 
     def op_membership(self, request: dict[str, Any]) -> dict[str, Any]:

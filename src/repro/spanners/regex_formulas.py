@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro import cachestats
+from repro import metrics
 from repro.spanners.spans import Span
 
 __all__ = [
@@ -358,7 +358,7 @@ def _match_spans_cached(formula: RegexFormula, document: str) -> frozenset:
     return formula._matches(document, 0, len(document), {})
 
 
-cachestats.register(
+metrics.register(
     "spanners.regex_formulas.match_spans", _match_spans_cached
 )
 
@@ -373,6 +373,6 @@ def parse_regex_formula(pattern: str) -> RegexFormula:
     return _FormulaParser(pattern).parse()
 
 
-cachestats.register(
+metrics.register(
     "spanners.regex_formulas.parse_regex_formula", parse_regex_formula
 )

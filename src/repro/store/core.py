@@ -25,7 +25,7 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-from repro.store import stats
+from repro import metrics
 from repro.store.backends import StoreBackend
 
 __all__ = ["STORE_SALT", "ArtifactStore", "canonical_args"]
@@ -79,17 +79,17 @@ class ArtifactStore:
         try:
             raw = self.backend.get(key)
         except Exception:
-            stats.record("store_errors")
-            stats.record("store_misses")
+            metrics.record("store_errors")
+            metrics.record("store_misses")
             return None
         if raw is None:
-            stats.record("store_misses")
+            metrics.record("store_misses")
             return None
         try:
             record = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            stats.record("store_errors")
-            stats.record("store_misses")
+            metrics.record("store_errors")
+            metrics.record("store_misses")
             return None
         if (
             not isinstance(record, dict)
@@ -99,11 +99,11 @@ class ArtifactStore:
             or record.get("version") != version
             or "payload" not in record
         ):
-            stats.record("store_errors")
-            stats.record("store_misses")
+            metrics.record("store_errors")
+            metrics.record("store_misses")
             return None
-        stats.record("store_hits")
-        stats.record("store_bytes_read", len(raw))
+        metrics.record("store_hits")
+        metrics.record("store_bytes_read", len(raw))
         return record["payload"]
 
     def store(
@@ -129,10 +129,10 @@ class ArtifactStore:
         try:
             self.backend.put(key, raw)
         except Exception:
-            stats.record("store_errors")
+            metrics.record("store_errors")
             return key
-        stats.record("store_stores")
-        stats.record("store_bytes_written", len(raw))
+        metrics.record("store_stores")
+        metrics.record("store_bytes_written", len(raw))
         return key
 
     # -- reporting -----------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from repro import cachestats
+from repro import metrics
 
 __all__ = [
     "factors",
@@ -64,7 +64,7 @@ def factors(word: str) -> frozenset[str]:
     return frozenset(iter_factors(word))
 
 
-cachestats.register("words.factors.factors", factors)
+metrics.register("words.factors.factors", factors)
 
 
 def prefixes(word: str) -> list[str]:

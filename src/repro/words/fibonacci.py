@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro import cachestats
+from repro import metrics
 
 __all__ = [
     "fibonacci_word",
@@ -42,7 +42,7 @@ def fibonacci_word(n: int) -> str:
     return fibonacci_word(n - 1) + fibonacci_word(n - 2)
 
 
-cachestats.register("words.fibonacci.fibonacci_word", fibonacci_word)
+metrics.register("words.fibonacci.fibonacci_word", fibonacci_word)
 
 
 def fibonacci_words(count: int) -> list[str]:

@@ -368,7 +368,7 @@ def test_bare_module_lock_crossing_fork_is_flagged(tmp_path):
 
 
 def test_pid_guarded_lock_accessor_passes(tmp_path):
-    # The blessed pattern (kernel/stats._lock): compare os.getpid() and
+    # The blessed pattern (metrics._lock): compare os.getpid() and
     # re-arm the lock, so a forked worker never inherits a held lock.
     found = findings_of(ForkSafetyChecker(), tmp_path, {
         "fixpkg/low/work.py": """\
@@ -462,7 +462,7 @@ def test_sqlite_connection_needs_pid_reconnect(tmp_path):
 # -- concurrency.atomic-counters ---------------------------------------------
 
 
-#: The pre-fix ``kernel/stats.record`` shape: a bare ``+=`` on the
+#: The pre-fix ``stats.record`` shape: a bare ``+=`` on the shared
 #: counter table loses increments under concurrent handler threads.
 COUNTER_RACE = {
     "fixpkg/low/stats.py": """\
@@ -528,3 +528,49 @@ def test_plain_counter_reset_is_not_rmw(tmp_path):
             """,
     }, counter_modules=("fixpkg.low.stats",))
     assert found == []
+
+
+#: ``repro.metrics.record``: each thread bumps its own cell, reached
+#: through a ``threading.local()`` global, so the ``+=`` races nobody.
+THREAD_LOCAL_CELL = """\
+    import threading
+
+    _LOCAL = threading.local()
+
+
+    def record(name, amount=1):
+        cell = _LOCAL.cell
+        cell[name] += amount
+        _LOCAL.depth += 1
+    """
+
+
+def test_thread_local_cell_increment_passes(tmp_path):
+    files = {"fixpkg/low/stats.py": THREAD_LOCAL_CELL}
+    assert findings_of(
+        AtomicCountersChecker(), tmp_path, files,
+        counter_modules=("fixpkg.low.stats",),
+    ) == []
+    # Outside a counter module, a thread root writing through the
+    # thread-local is no shared-state race either.
+    assert findings_of(
+        SharedStateRaceChecker(), tmp_path, files,
+        thread_roots=("fixpkg.low.stats.record",),
+    ) == []
+
+
+def test_module_dict_cell_increment_is_flagged(tmp_path):
+    # The same increment on a plain module dict is shared by every thread.
+    found = findings_of(AtomicCountersChecker(), tmp_path, {
+        "fixpkg/low/stats.py": """\
+            _CELL = {"hits": 0}
+
+
+            def record(name, amount=1):
+                cell = _CELL
+                cell[name] += amount
+            """,
+    }, counter_modules=("fixpkg.low.stats",))
+    assert len(found) == 1
+    assert "read-modify-write" in found[0].message
+    assert "_CELL" in found[0].message

@@ -21,6 +21,8 @@ def analysis():
 
 
 PINNED = {
+    # The metrics leaf is the declared counter channel.
+    "repro.metrics.record": ["counter"],
     # words/: the combinatorial base layer is pure throughout.
     "repro.words.factors.factors": [],
     "repro.words.periodicity.smallest_period": [],
@@ -29,7 +31,6 @@ PINNED = {
     # channel, and families self-intern.
     "repro.kernel.interning.LazyCat.point": [],
     "repro.kernel.interning.intern_table": ["counter", "store"],
-    "repro.kernel.stats.record": ["counter"],
     "repro.kernel.sweep.SweepFamily._merge": [],
     "repro.kernel.sweep.SweepFamily.intern": ["mutates-self"],
     "repro.kernel.sweep.SweepFamily._extend": ["counter", "mutates-self"],

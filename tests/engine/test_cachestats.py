@@ -1,11 +1,11 @@
-"""The shared lru_cache instrumentation registry."""
+"""The lru_cache sites of the metrics registry (``repro.metrics``)."""
 
 import importlib
 from functools import lru_cache
 
 import pytest
 
-from repro.engine import cachestats
+from repro import metrics
 
 
 @pytest.fixture
@@ -17,43 +17,46 @@ def scoped_cache():
         return n * n
 
     name = "tests.square"
-    cachestats.register(name, square)
+    metrics.register(name, square)
     yield name, square
-    cachestats._REGISTRY.pop(name, None)
+    metrics._SITES.pop(name, None)
+
+
+def lru_diff(before):
+    return metrics.diff(before, metrics.snapshot())["lru"]
 
 
 def test_snapshot_and_diff(scoped_cache):
     name, square = scoped_cache
     square.cache_clear()
-    before = cachestats.snapshot()
+    before = metrics.snapshot()
     square(2)
     square(2)
     square(3)
-    delta = cachestats.diff(before, cachestats.snapshot())
-    assert delta[name] == {"hits": 1, "misses": 2, "currsize": 2}
+    assert lru_diff(before)[name] == {"hits": 1, "misses": 2, "currsize": 2}
 
 
 def test_diff_omits_inactive_caches(scoped_cache):
     name, square = scoped_cache
-    before = cachestats.snapshot()
-    assert name not in cachestats.diff(before, cachestats.snapshot())
+    before = metrics.snapshot()
+    assert name not in lru_diff(before)
 
 
 def test_register_is_idempotent_for_same_fn(scoped_cache):
     name, square = scoped_cache
-    cachestats.register(name, square)  # same function: fine
+    metrics.register(name, square)  # same function: fine
 
     @lru_cache(maxsize=2)
     def other(n: int) -> int:
         return n
 
     with pytest.raises(ValueError, match="already registered"):
-        cachestats.register(name, other)
+        metrics.register(name, other)
 
 
 def test_register_requires_cache_info():
     with pytest.raises(TypeError):
-        cachestats.register("tests.plain", lambda n: n)
+        metrics.register("tests.plain", lambda n: n)
 
 
 def test_aggregate_totals(scoped_cache):
@@ -61,9 +64,10 @@ def test_aggregate_totals(scoped_cache):
     square.cache_clear()
     square(5)
     square(5)
-    totals = cachestats.aggregate()
-    assert totals["hits"] >= 1
-    assert totals["misses"] >= 1
+    lru = metrics.snapshot()["lru"]
+    assert lru[name]["maxsize"] == 8
+    assert sum(counters["hits"] for counters in lru.values()) >= 1
+    assert sum(counters["misses"] for counters in lru.values()) >= 1
 
 
 INSTRUMENTED_MODULES = (
@@ -80,7 +84,7 @@ def test_real_sites_are_registered():
     for module in INSTRUMENTED_MODULES:
         importlib.import_module(module)
 
-    names = set(cachestats.registered_names())
+    names = set(metrics.registered_names())
     assert {
         "ef.equivalence.solver_for",
         "fc.structures.word_structure",

@@ -219,6 +219,31 @@ def test_sequential_run_does_not_double_count(tmp_path):
     assert report.lru_caches["totals"]["hits"] == parent_hits
 
 
+def test_lru_caches_report_this_run_not_the_process_lifetime(tmp_path):
+    """lru totals are this run's traffic, like the solver/store totals.
+
+    They used to come from an absolute snapshot at the end of the run,
+    so a second run in one process reported the first run's lookups too.
+    """
+    registry = TaskRegistry()
+    registry.add(
+        "f1", f"{TASKFNS}:factor_count", args={"word": "abcbcabcabba"}
+    )
+    cache = ResultCache(root=tmp_path, enabled=False)
+    run_tasks(registry, jobs=1, cache=cache)
+    report = run_tasks(registry, jobs=1, cache=cache)
+    assert report.ok
+    # The second run's one lookup is a hit on the entry the first left.
+    delta = report.record_for("f1")["lru_delta"]
+    assert delta == {
+        "words.factors.factors": {"hits": 1, "misses": 0, "currsize": 0}
+    }
+    assert report.lru_caches["totals"] == {
+        "hits": 1, "misses": 0, "currsize": 0,
+    }
+    assert report.lru_caches["main_process"] == delta
+
+
 def test_solver_stats_flow_into_report(tmp_path):
     registry = TaskRegistry()
     registry.add(

@@ -364,13 +364,14 @@ def test_e01_shard_counters_conserve_exactly(tmp_path):
     counter must stay zero.  All lru caches are cleared between runs so
     both widths do identical cold work in this process.
     """
-    from repro import cachestats
+    from repro import metrics
     from repro.engine.experiments import build_default_registry
 
     registry = build_default_registry()
 
     def run(width):
-        cachestats.clear_all()
+        for site in metrics._SITES.values():
+            site.cache_clear()
         return run_tasks(
             registry,
             jobs=1,

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import metrics
 from repro.fc import builders as B
 from repro.fc.builders import chain
 from repro.fc.semantics import evaluate_naive, satisfying_tuples
@@ -33,7 +34,6 @@ from repro.fc.syntax import (
     free_variables,
 )
 from repro.fcreg.constraints import in_regex
-from repro.kernel import stats as kernel_stats
 from repro.store import runtime as store_runtime
 from repro.store.backends import MemoryBackend
 from repro.store.core import ArtifactStore
@@ -149,13 +149,13 @@ def test_open_program_evaluate_raises():
 
 
 def test_relation_rows_counter_advances():
-    before = kernel_stats.snapshot()
+    before = metrics.snapshot()
     grid = dict(
         satisfying_tuples(
             _formula_pool()["square"], "ab", list(words_up_to("ab", 3))
         )
     )
-    delta = kernel_stats.diff(before, kernel_stats.snapshot())
+    delta = metrics.diff(before, metrics.snapshot())["solver"]
     total = sum(len(rows) for rows in grid.values())
     assert total > 0
     assert delta.get("sweep_relation_rows", 0) == total
@@ -202,9 +202,9 @@ class TestStoreRoundTrip:
         previous = store_runtime.activate(store)
         try:
             cold = self._grid()  # publishes the sweep-relation artifact
-            before = kernel_stats.snapshot()
+            before = metrics.snapshot()
             hydrated = self._grid()
-            delta = kernel_stats.diff(before, kernel_stats.snapshot())
+            delta = metrics.diff(before, metrics.snapshot())["solver"]
             assert delta.get("sweep_relations_hydrated", 0) == len(cold)
             # The hydrated path must not re-run the scan.
             assert delta.get("sweep_relation_rows", 0) == 0
@@ -226,9 +226,9 @@ class TestStoreRoundTrip:
             )
             next(batch)  # abandon after one word
             del batch
-            before = kernel_stats.snapshot()
+            before = metrics.snapshot()
             full = self._grid()
-            delta = kernel_stats.diff(before, kernel_stats.snapshot())
+            delta = metrics.diff(before, metrics.snapshot())["solver"]
             # Nothing was published by the abandoned scan, so the full
             # scan cannot have hydrated.
             assert delta.get("sweep_relations_hydrated", 0) == 0

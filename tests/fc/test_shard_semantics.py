@@ -9,6 +9,7 @@ the verdicts of the monolithic ``defines_language_members`` sweep.
 
 import pytest
 
+from repro import metrics
 from repro.engine.shards import length_band_plan, round_robin, subtree_plan
 from repro.fc import builders as B
 from repro.fc.semantics import (
@@ -17,7 +18,6 @@ from repro.fc.semantics import (
     merge_shard_rows,
     shard_words,
 )
-from repro.kernel import stats as kernel_stats
 from repro.words.generators import words_up_to
 
 
@@ -146,27 +146,31 @@ def test_unary_band_shard_matches_monolithic():
 
 def test_duplicated_stem_work_lands_in_overhead_counter():
     """Re-deriving a subtree's stem path must not inflate real counters:
-    it is rerouted to ``shard_overhead_ops`` by the kernel stats shim."""
+    it is rerouted to ``shard_overhead_ops`` by ``repro.metrics``."""
     sentence, alphabet, max_length = B.phi_ww(), "ab", 5
     plan = subtree_plan(alphabet, max_length, 4)
     non_stem = [shard for shard in plan if not shard["stems"]]
     assert non_stem, "plan has no stem-free shard to measure"
-    before = kernel_stats.snapshot()
+    before = metrics.snapshot()
     list(
         defines_language_members_shard(
             sentence, alphabet, max_length, non_stem[0]
         )
     )
-    delta = kernel_stats.diff(before, kernel_stats.snapshot())
+    delta = metrics.diff(before, metrics.snapshot())["solver"]
     assert delta.get("shard_overhead_ops", 0) > 0
 
 
 def test_overhead_context_reroutes_and_restores():
-    before = kernel_stats.snapshot()
-    with kernel_stats.shard_overhead():
-        kernel_stats.record("consistency_checks")
-        kernel_stats.record("shard_overhead_ops")
-    kernel_stats.record("consistency_checks")
-    delta = kernel_stats.diff(before, kernel_stats.snapshot())
+    before = metrics.snapshot()
+    with metrics.shard_overhead():
+        metrics.record("consistency_checks")
+        metrics.record("shard_overhead_ops")
+    metrics.record("consistency_checks")
+    with metrics.shard_overhead():
+        # The name check comes before the reroute: a typo still fails.
+        with pytest.raises(KeyError):
+            metrics.record("consistency_chekcs")
+    delta = metrics.diff(before, metrics.snapshot())["solver"]
     assert delta.get("consistency_checks") == 1
     assert delta.get("shard_overhead_ops") == 2

@@ -9,7 +9,7 @@ requested in.
 
 import random
 
-from repro.kernel import stats
+from repro import metrics
 from repro.kernel.sweep import SweepFamily
 from repro.words.factors import factors
 from repro.words.generators import words_up_to
@@ -45,9 +45,9 @@ def test_out_of_order_requests_share_prefix_tables():
     # on the way up).
     family = SweepFamily(("a", "b"))
     _check_table(family, "abbab")
-    before = stats.snapshot()
+    before = metrics.snapshot()
     _check_table(family, "abb")  # already built as a prefix
-    assert stats.diff(before, stats.snapshot()) == {}
+    assert metrics.diff(before, metrics.snapshot())["solver"] == {}
 
 
 def test_random_long_words_match_factors():
@@ -88,10 +88,10 @@ def test_sort_key_orders_like_intern_table():
 
 
 def test_effort_counters_flow_through_kernel_stats():
-    before = stats.snapshot()
+    before = metrics.snapshot()
     family = SweepFamily(("a", "b"))
     family.table("ab")
-    delta = stats.diff(before, stats.snapshot())
+    delta = metrics.diff(before, metrics.snapshot())["solver"]
     # ε root rebuilt once, then two letter extensions.
     assert delta["sweep_tables_rebuilt"] == 1
     assert delta["sweep_tables_extended"] == 2

@@ -2,12 +2,12 @@
 
 The daemon gives every connection its own handler thread, so this drives
 real concurrency through the kernel solver, the compiled-FC projection
-caches, and both stats modules.  Two properties are checked:
+caches, and the metrics registry.  Two properties are checked:
 
 * every threaded response is bit-identical to the serial baseline (the
   query ops are pure functions of the request; shared caches must never
   leak a wrong answer across threads);
-* the locked counter paths lose no increments and the daemon's own
+* the per-thread counter cells lose no increments and the daemon's own
   ``stats`` op agrees with an in-process snapshot once the hammer is
   quiescent.
 """
@@ -17,10 +17,9 @@ import threading
 
 import pytest
 
-from repro.kernel import stats as kernel_stats
+from repro import metrics
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ReproServer
-from repro.store import stats as store_stats
 from repro.store.backends import MemoryBackend
 from repro.store.core import ArtifactStore
 
@@ -75,8 +74,7 @@ def run_workload(port: int, rotation: int) -> list:
 
 
 def test_threaded_responses_are_bit_identical_to_serial(server):
-    kernel_before = kernel_stats.snapshot()
-    store_before = store_stats.snapshot()
+    before = metrics.snapshot()
 
     with ServeClient(port=server.port) as client:
         baseline = [client.call(op, **params) for op, params in WORKLOAD]
@@ -108,10 +106,10 @@ def test_threaded_responses_are_bit_identical_to_serial(server):
     # Counters stay monotone under contention (exact conservation is
     # pinned down in tests/kernel/test_stats_threading.py) and the cold
     # solves above left real solver and store traffic behind.
-    kernel_delta = kernel_stats.diff(kernel_before, kernel_stats.snapshot())
+    deltas = metrics.diff(before, metrics.snapshot())
+    kernel_delta, store_delta = deltas["solver"], deltas["store"]
     assert all(delta > 0 for delta in kernel_delta.values())
     assert kernel_delta.get("consistency_checks", 0) > 0
-    store_delta = store_stats.diff(store_before, store_stats.snapshot())
     assert all(delta > 0 for delta in store_delta.values())
     assert (
         store_delta.get("store_hits", 0) + store_delta.get("store_misses", 0)
@@ -126,5 +124,5 @@ def test_quiescent_stats_op_agrees_with_process_snapshot(server):
     # The daemon runs in this process; once no query is in flight its
     # reported counters are exactly the module snapshot, and its store
     # is the fixture's MemoryBackend.
-    assert reported["counters"] == store_stats.snapshot()
+    assert reported["counters"] == metrics.snapshot()["store"]
     assert reported["store"] is not None

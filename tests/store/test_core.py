@@ -2,7 +2,7 @@
 
 import json
 
-from repro.store import stats
+from repro import metrics
 from repro.store.backends import MemoryBackend
 from repro.store.core import STORE_SALT, ArtifactStore, canonical_args
 
@@ -52,9 +52,9 @@ class TestRoundTrip:
 
     def test_absent_is_a_miss(self):
         store = _store()
-        before = stats.snapshot()
+        before = metrics.snapshot()
         assert store.load("kind", "1", ARGS) is None
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_misses") == 1
         assert "store_errors" not in delta
 
@@ -66,9 +66,9 @@ class TestCorruption:
         return store, key
 
     def _expect_error_miss(self, store: ArtifactStore):
-        before = stats.snapshot()
+        before = metrics.snapshot()
         assert store.load("kind", "1", ARGS) is None
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_misses") == 1
         assert delta.get("store_errors") == 1
 
@@ -94,9 +94,9 @@ class TestCorruption:
         old = ArtifactStore(backend, salt="repro-store-v0")
         old.store("kind", "1", ARGS, [1])
         fresh = ArtifactStore(backend)
-        before = stats.snapshot()
+        before = metrics.snapshot()
         assert fresh.load("kind", "1", ARGS) is None
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         # Different salt → different key → a plain miss, no error.
         assert delta.get("store_misses") == 1
 
@@ -121,18 +121,18 @@ class _ExplodingBackend(MemoryBackend):
 class TestBackendFailures:
     def test_get_failure_is_an_error_miss(self):
         store = ArtifactStore(_ExplodingBackend())
-        before = stats.snapshot()
+        before = metrics.snapshot()
         assert store.load("kind", "1", ARGS) is None
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_errors") == 1
         assert delta.get("store_misses") == 1
 
     def test_put_failure_is_swallowed(self):
         store = ArtifactStore(_ExplodingBackend())
-        before = stats.snapshot()
+        before = metrics.snapshot()
         key = store.store("kind", "1", ARGS, [1])
         assert isinstance(key, str) and len(key) == 64
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_errors") == 1
         assert "store_stores" not in delta
 

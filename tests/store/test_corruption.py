@@ -14,11 +14,11 @@ import sqlite3
 
 import pytest
 
+from repro import metrics
 from repro.ef.equivalence import solver_for
 from repro.kernel.automorphisms import automorphism_group
 from repro.kernel.interning import intern_table
 from repro.store import runtime as store_runtime
-from repro.store import stats
 from repro.store.backends import SqliteBackend
 from repro.store.core import ArtifactStore
 
@@ -41,9 +41,9 @@ def _sqlite_store(tmp_path) -> ArtifactStore:
 
 
 def _expect_error_miss(store: ArtifactStore) -> None:
-    before = stats.snapshot()
+    before = metrics.snapshot()
     assert store.load("kind", "1", ARGS) is None
-    delta = stats.diff(before, stats.snapshot())
+    delta = metrics.diff(before, metrics.snapshot())["store"]
     assert delta.get("store_misses") == 1
     assert delta.get("store_errors") == 1
 
@@ -145,9 +145,9 @@ def test_corrupted_records_never_poison_hydration(tmp_path, corrupt):
         assert store.backend.keys(), "publish wrote no records"
         corrupt(store.backend)
         intern_table.cache_clear()
-        before = stats.snapshot()
+        before = metrics.snapshot()
         rebuilt = intern_table(WORD, ALPHABET)
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         # The damaged record served nothing: a counted miss, then the
         # cold path rebuilt the exact same structure.
         assert delta.get("store_hits", 0) == 0

@@ -12,13 +12,13 @@ import sys
 
 import pytest
 
+from repro import metrics
 from repro.ef.equivalence import solver_for
 from repro.fc.builders import phi_copy, phi_ww
 from repro.fc.semantics import satisfying_assignments
 from repro.fc.syntax import Concat, Exists, Var, alpha_canonical
 from repro.kernel.automorphisms import automorphism_group
 from repro.kernel.interning import intern_table
-from repro.store import stats
 from repro.store import runtime as store_runtime
 from repro.store.backends import MemoryBackend
 from repro.store.core import ArtifactStore
@@ -75,16 +75,16 @@ class TestInternTable:
         populate = intern_table(WORD, ALPHABET)  # cold build + publish
         _assert_tables_identical(populate, cold_table)
         intern_table.cache_clear()
-        before = stats.snapshot()
+        before = metrics.snapshot()
         hydrated = intern_table(WORD, ALPHABET)
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_hits", 0) >= 1, "second build did not hydrate"
         _assert_tables_identical(hydrated, cold_table)
 
     def test_short_words_never_touch_the_store(self, active_store):
-        before = stats.snapshot()
+        before = metrics.snapshot()
         intern_table("abab", ALPHABET)
-        assert stats.diff(before, stats.snapshot()) == {}
+        assert metrics.diff(before, metrics.snapshot())["store"] == {}
 
 
 class TestAutomorphismGroup:
@@ -92,9 +92,9 @@ class TestAutomorphismGroup:
         table = intern_table(WORD, ALPHABET)
         cold = automorphism_group(table)
         automorphism_group.cache_clear()
-        before = stats.snapshot()
+        before = metrics.snapshot()
         warm = automorphism_group(table)
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_hits", 0) >= 1
         assert warm == cold
 
@@ -109,10 +109,10 @@ class TestEfMemo:
         cold = [cold_solver.duplicator_wins(k) for k in (0, 1, 2)]
         assert cold_solver._core.memo_size() >= 32  # threshold sanity
         solver_for.cache_clear()
-        before = stats.snapshot()
+        before = metrics.snapshot()
         warm_solver = solver_for(w, v, "ab")
         assert warm_solver._core.memo_size() == cold_solver._core.memo_size()
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_hits", 0) >= 1
         assert [warm_solver.duplicator_wins(k) for k in (0, 1, 2)] == cold
 
@@ -120,9 +120,9 @@ class TestEfMemo:
         solver = solver_for("aabb", "aaabb", "ab")
         solver.duplicator_wins(2)
         assert solver._core.memo_size() < 32
-        before = stats.snapshot()
+        before = metrics.snapshot()
         solver.duplicator_wins(1)
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert "store_stores" not in delta
 
 
@@ -143,18 +143,18 @@ class TestFcAssignments:
         finally:
             store_runtime.deactivate(previous)
         populated = self._rows()  # enumerates + publishes
-        before = stats.snapshot()
+        before = metrics.snapshot()
         hydrated = self._rows()
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert delta.get("store_hits", 0) >= 1
         assert populated == cold
         assert hydrated == cold
 
     def test_partial_scans_are_never_published(self, active_store):
         formula = phi_copy(Var("x"), Var("y"))
-        before = stats.snapshot()
+        before = metrics.snapshot()
         next(iter(satisfying_assignments(self.WORD, formula, "ab")))
-        delta = stats.diff(before, stats.snapshot())
+        delta = metrics.diff(before, metrics.snapshot())["store"]
         assert "store_stores" not in delta
 
 
