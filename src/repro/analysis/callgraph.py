@@ -18,7 +18,12 @@ answers all three with a purely syntactic pass:
   object came from;
 * nested functions and lambdas are absorbed into their enclosing
   function — their statements contribute to the outer scan, and their
-  parameters become plain locals.
+  parameters become plain locals.  A nested ``def`` runs when it is
+  called, not when it is defined: a closure the enclosing function
+  only returns (a factory's product) never runs there, so its body is
+  left out of the scan.  Whoever calls the returned closure does so
+  through a dynamic call, which the effect lattice already scores as
+  ``unknown`` at that call site.
 
 Roots form a tiny grammar (see :data:`ROOT_KINDS`): ``self``,
 ``param:<name>``, ``local``, ``fresh`` (constructed here),
@@ -71,7 +76,7 @@ _MUTABLE_CALLS = frozenset({
 class FunctionInfo:
     """One analysed function or method."""
 
-    qualname: str  # "repro.fc.sweep.SweepProgram._eval"
+    qualname: str  # "repro.fc.sweep.SweepProgram.evaluate"
     module: str
     cls: str | None  # owning class qualname, None for module functions
     name: str
@@ -131,6 +136,49 @@ def _unparse_short(node: ast.AST, limit: int = 48) -> str:
     except Exception:  # pragma: no cover — unparse is total on 3.10+
         text = "<expr>"
     return text if len(text) <= limit else text[: limit - 1] + "…"
+
+
+def _escaping_defs(
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Nested defs of ``node`` whose body never runs inside ``node``.
+
+    A nested def runs when it is called.  If every reference to its name
+    outside its own body is the value of a ``return`` statement, the
+    enclosing function hands the closure out without calling it (or
+    passing it to a callee that might).  A def that is called, passed
+    as an argument, stored or never referenced at all does not escape
+    and stays part of the enclosing scan.
+    """
+    nested = [
+        child
+        for child in ast.walk(node)
+        if child is not node
+        and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    escaping = []
+    for inner in nested:
+        own = {id(n) for n in ast.walk(inner)}
+        returned: set[int] = set()
+        loads: list[ast.Name] = []
+        for child in ast.walk(node):
+            if id(child) in own:
+                continue
+            if (
+                isinstance(child, ast.Return)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == inner.name
+            ):
+                returned.add(id(child.value))
+            elif (
+                isinstance(child, ast.Name)
+                and child.id == inner.name
+                and isinstance(child.ctx, ast.Load)
+            ):
+                loads.append(child)
+        if loads and all(id(load) in returned for load in loads):
+            escaping.append(inner)
+    return escaping
 
 
 def _is_staticmethod(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -487,13 +535,17 @@ class _Scanner:
 
     def _ignored_ids(self, node: ast.FunctionDef) -> set[int]:
         """Subtrees that never execute inside the body: annotations,
-        decorator lists, and the outer function's own defaults."""
+        decorator lists, the outer function's own defaults, and the
+        bodies of nested defs that only escape (see :func:`_escaping_defs`)."""
         ignore: set[int] = set()
 
         def drop(subtree: ast.AST | None) -> None:
             if subtree is not None:
                 ignore.update(id(n) for n in ast.walk(subtree))
 
+        for nested in _escaping_defs(node):
+            for statement in nested.body:
+                drop(statement)
         for child in ast.walk(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 arguments = child.args

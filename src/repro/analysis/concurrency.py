@@ -576,6 +576,13 @@ class ConcurrencyAnalysis:
             ):
                 owner = self.owner_class(info.cls, expr.attr)
                 return f"field:{owner}.{expr.attr}"
+            # A field of an object whose class the chain resolves to
+            # (``self.plan.root``, a typed parameter's ``p.x``) is that
+            # class's field, wherever the write happens.
+            _, base_type = scanner._resolve_chain(base)
+            if base_type is not None and base_type in self.codebase.classes():
+                owner = self.owner_class(base_type, expr.attr)
+                return f"field:{owner}.{expr.attr}"
             root, _ = scanner._resolve_chain(expr)
             return self._global_location(root)
         return None

@@ -137,6 +137,6 @@ class DomainsSlotDisciplineChecker(_DomainsChecker):
     kind = "slot"
     hint = (
         "derive the index from a pinned slot producer (e.g. "
-        "SweepProgram._slot) or pin the decoding site with "
+        "_Compiler._slot) or pin the decoding site with "
         "# repro-lint: allow[domains.slot-discipline] and a reason"
     )

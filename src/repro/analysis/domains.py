@@ -22,7 +22,7 @@ element types and comprehensions, on top of the PR-5 call graph
 ``interval``
     an FO[EQ] interval id (:mod:`repro.foeq.compiled`).
 ``slot``
-    a relation slot index (:meth:`repro.fc.sweep.SweepProgram._slot`).
+    a relation slot index (:meth:`repro.fc.sweep._Compiler._slot`).
 ``shard-lane``
     a shard lane index (:mod:`repro.engine.shards`).
 ``dfa-state``

@@ -8,10 +8,12 @@ Implements the satisfaction relation of Section 2:
 * ``⟦φ⟧(w)`` is the set of assignments (restricted to the free variables)
   that satisfy φ in 𝔄_w.
 
-Every front-end here runs one evaluator, :class:`repro.fc.sweep.SweepProgram`:
-the batched ones compile a formula once per word family, and the per-word
-ones (:func:`models`, :func:`satisfying_assignments`) treat a single word
-as a family of one, with a fresh family per call.
+Every front-end here runs one evaluator, :class:`repro.fc.sweep.SweepProgram`.
+A formula's plan is compiled once per process and cached
+(:func:`repro.fc.sweep.compiled_plan`); the batched front-ends bind it to
+one word family, and the per-word ones (:func:`models`,
+:func:`satisfying_assignments`, :func:`defines_language_member`) bind it to
+a family of one word — fresh per call, its one table built in one pass.
 :func:`evaluate_naive` is the plain recursive transcription of the
 satisfaction relation, kept as the differential oracle.  Extension atoms
 (e.g. FC[REG] regular constraints) participate by providing an
@@ -24,7 +26,7 @@ from typing import Dict, Iterable, Iterator
 
 from repro import metrics
 from repro.fc.structures import BOTTOM, WordStructure, word_structure
-from repro.fc.sweep import LanguageSweep
+from repro.fc.sweep import LanguageSweep, SweepProgram
 from repro.store import artifacts as store_artifacts, runtime as store_runtime
 from repro.fc.syntax import (
     And,
@@ -46,6 +48,7 @@ from repro.words.generators import words_up_to
 
 __all__ = [
     "Assignment",
+    "OpenFormulaError",
     "evaluate_naive",
     "models",
     "satisfying_assignments",
@@ -154,13 +157,13 @@ def models(
 
     Raises ``ValueError`` if free variables are left unassigned, a value
     is not a factor of ``word`` (assignments must never be ⊥), or the
-    word or a constant is not over ``alphabet``.  The formula runs on a
-    one-word :class:`~repro.fc.sweep.LanguageSweep`, fresh per call; the
-    caller's ``assignment`` is never mutated.
+    word or a constant is not over ``alphabet``.  The formula's cached
+    plan runs on a one-word family, fresh per call; the caller's
+    ``assignment`` is never mutated.
     """
-    word_structure(word, alphabet)  # rejects letters outside Σ
+    program = _one_word(word, formula, alphabet)
     assignment = assignment or {}
-    for variable in free_variables(formula):
+    for variable in program.free_vars:
         if variable not in assignment:
             raise ValueError(f"free variable {variable!r} unassigned")
     for variable, value in assignment.items():
@@ -169,9 +172,15 @@ def models(
                 f"assignment {variable!r} ↦ {value!r} is not a factor of "
                 f"{word!r}"
             )
-    sweep = LanguageSweep(alphabet)
-    program = sweep.compile(formula)
-    return program.evaluate(sweep.family.table(word), assignment)
+    return program.evaluate(program.family.word_table(word), assignment)
+
+
+def _one_word(word: str, formula: Formula, alphabet: str) -> SweepProgram:
+    """The formula's cached plan bound to a fresh family, for one word
+    (whose table :meth:`~repro.kernel.sweep.SweepFamily.word_table`
+    builds in one pass)."""
+    word_structure(word, alphabet)  # rejects letters outside Σ
+    return LanguageSweep(alphabet).compile(formula)
 
 
 def satisfying_assignments(
@@ -234,11 +243,9 @@ def _enumerate_assignments(
     """The cold ⟦φ⟧(w) scan behind :func:`satisfying_assignments`: the
     relation of a one-word sweep.  Rows come in the nested ``(len,
     text)`` order over the free variables sorted by name."""
-    word_structure(word, alphabet)  # rejects letters outside Σ
-    sweep = LanguageSweep(alphabet)
-    program = sweep.compile(formula)
-    texts = sweep.family.strings
-    for row in program.relation(sweep.family.table(word)):
+    program = _one_word(word, formula, alphabet)
+    texts = program.family.strings
+    for row in program.relation(program.family.word_table(word)):
         yield {var: texts[gid] for var, gid in zip(program.free_vars, row)}
 
 
@@ -270,7 +277,9 @@ def satisfying_tuples(
     through the ``sweep-universe`` artifact as in
     :func:`defines_language_members`.
     """
-    canonical = tuple(sorted(free_variables(formula), key=lambda v: v.name))
+    sweep = LanguageSweep(alphabet)
+    program = sweep.compile(formula)
+    canonical = program.free_vars
     if variables is None:
         order = None
     else:
@@ -286,9 +295,6 @@ def satisfying_tuples(
         if order is None:
             return rows
         return [tuple(row[i] for i in order) for row in rows]
-
-    sweep = LanguageSweep(alphabet)
-    program = sweep.compile(formula)
 
     def run() -> Iterator[tuple[str, list[tuple[str, ...]]]]:
         store_on = store_runtime.active() is not None and scope is not None
@@ -342,18 +348,28 @@ def satisfying_tuples(
     return run()
 
 
-def _require_sentence(sentence: Formula) -> None:
-    if free_variables(sentence):
-        raise ValueError(
-            f"L(φ) is only defined for sentences; free vars: "
-            f"{sorted(v.name for v in free_variables(sentence))}"
+class OpenFormulaError(ValueError):
+    """A language front-end was given a formula with free variables."""
+
+    def __init__(self, names: list) -> None:
+        super().__init__(
+            f"L(φ) is only defined for sentences; free vars: {names}"
         )
+        self.names = names
+
+
+def _require_sentence(program: SweepProgram) -> None:
+    """Reject a compiled program with free variables (read off its plan)."""
+    if program.free_vars:
+        raise OpenFormulaError(sorted(v.name for v in program.free_vars))
 
 
 def defines_language_member(word: str, sentence: Formula, alphabet: str) -> bool:
-    """Return ``w ∈ L(φ)`` for a sentence φ.  Raises on open formulas."""
-    _require_sentence(sentence)
-    return models(word, sentence, alphabet)
+    """Return ``w ∈ L(φ)`` for a sentence φ.  Raises
+    :class:`OpenFormulaError` on open formulas."""
+    program = _one_word(word, sentence, alphabet)
+    _require_sentence(program)
+    return program.evaluate(program.family.word_table(word))
 
 
 def _sweep_store_scope(family, alphabet: str, scope: int | None):
@@ -410,9 +426,9 @@ def defines_language_members(
     tables then hydrate from (or publish to) the grid's
     ``sweep-universe`` artifact.
     """
-    _require_sentence(sentence)
     sweep = LanguageSweep(alphabet)
     program = sweep.compile(sentence)
+    _require_sentence(program)
 
     def run() -> Iterator[tuple[str, bool]]:
         family = sweep.family
@@ -469,9 +485,9 @@ def defines_language_members_shard(
     partition the real sweep counters equal the monolithic run's and
     the duplicated stem work is measured in ``shard_overhead_ops``.
     """
-    _require_sentence(sentence)
     sweep = LanguageSweep(alphabet)
     program = sweep.compile(sentence)
+    _require_sentence(program)
 
     def run() -> Iterator[tuple[str, bool]]:
         family = sweep.family
@@ -526,11 +542,10 @@ def language_signatures(
     factors once instead of once per sentence.  ``scope`` is as in
     :func:`defines_language_members`.
     """
-    pool = tuple(sentences)
-    for sentence in pool:
-        _require_sentence(sentence)
     sweep = LanguageSweep(alphabet)
-    programs = tuple(sweep.compile(sentence) for sentence in pool)
+    programs = tuple(sweep.compile(sentence) for sentence in sentences)
+    for program in programs:
+        _require_sentence(program)
 
     def run() -> Iterator[tuple[str, tuple[bool, ...]]]:
         family = sweep.family

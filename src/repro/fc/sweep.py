@@ -1,4 +1,4 @@
-"""The FC evaluator: one formula compiled once against a word family.
+"""The FC evaluator: one formula compiled once, bound once per word family.
 
 Every fast FC path runs here.  Membership sweeps — ``L(φ) ∩ Σ^{≤n}`` in
 E05, the E02 signature pools, the Theorem 5.8 agreement checks —
@@ -8,8 +8,26 @@ front-ends (:func:`repro.fc.semantics.models`,
 on a family of one word.  :func:`repro.fc.semantics.evaluate_naive` is
 the only other evaluator, kept as the Section 2 oracle.
 
-:class:`SweepProgram` compiles the formula **once per family** into a
-plan tree and shares everything that is word-independent:
+Compilation is split in two:
+
+* a **plan** (:class:`_SweepPlan`, from :func:`compiled_plan`) depends
+  only on ``(formula, alphabet)``.  It is compiled once per process —
+  an ``lru_cache`` registered in :mod:`repro.metrics`; formula nodes are
+  frozen dataclasses, so a formula rebuilt per request (``parse_fc``,
+  ``paper_formula``) hits by structural equality — and it is immutable,
+  so the daemon's handler threads share it.  Every plan node and every
+  candidate-pool node is one closure over its children, slots and
+  constant indices: evaluation makes direct calls, with no dispatch on
+  node kinds;
+* a **binding** (:class:`SweepProgram`, from
+  :meth:`LanguageSweep.compile`) attaches a plan to one
+  :class:`~repro.kernel.sweep.SweepFamily`: it interns the plan's
+  constants into the family and owns the family-wide memos.  Per-word
+  state (environment, quantifier caches, word scans) lives on
+  :class:`_Ctx`, fresh per :meth:`SweepProgram.evaluate` /
+  :meth:`SweepProgram.relation` call.
+
+Everything word-independent is shared:
 
 * **Pool plans** — which atoms constrain each quantified variable, with
   which terms known/masked, is static; only the known *values* vary.
@@ -41,7 +59,8 @@ plan tree and shares everything that is word-independent:
 
 Every FC[REG] formula compiles.  A constant outside Σ raises
 ``ValueError`` at compile time (the message of
-:meth:`WordStructure.constant`), an unknown node ``TypeError`` — the
+:meth:`WordStructure.constant`; an ``lru_cache`` does not cache
+exceptions, so every call raises), an unknown node ``TypeError`` — the
 errors :func:`~repro.fc.semantics.evaluate_naive` raises.
 
 Truth of a quantifier-free pure subformula depends only on the gid
@@ -56,8 +75,16 @@ restrictions are all **dense bitsets over the family's id space**
 (big-int masks, :mod:`repro.kernel.bitset`): pool ∧/∨ chains are
 single C-level ``&``/``|`` operations, and the PR-4 soundness
 restriction "quantifiers range over the word's factors" is one
-``pool & table.mask``.  The ``sweep_bitset_ops`` counter measures the
-mask algebra per word.
+``pool & table.mask`` in :meth:`_Ctx.scan`.  The ``sweep_bitset_ops``
+counter measures the mask algebra per word.
+
+The lint suite sees the closures as follows: a nested ``def`` runs when
+it is called, not when it is defined (:mod:`repro.analysis.callgraph`),
+so the effects of a returned closure do not count against the cached
+compiler; the id-domain flow does not descend into nested ``def``s, so
+every domain-checked step — the universe restriction, the memo reads
+and writes, the slot maps — lives in methods of :class:`_Ctx` and
+:class:`SweepProgram`, which the closures call.
 
 Beyond truth values, a compiled program with free variables emits the
 full satisfying-assignment **relation** per word
@@ -76,6 +103,10 @@ hypothesis-generated formulas, including regex- and oracle-bearing ones.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 from repro import metrics
 from repro.fc.syntax import (
@@ -126,263 +157,612 @@ class _WordView:
         )
 
 
-# Plan-node kinds: _EXT is an assignment-pure extension atom (memoised
-# family-wide), _LEAF any other extension atom (evaluated per word).
-_CONCAT, _CHAIN, _NOT, _AND, _OR, _IMPLIES, _QUANT, _EXT, _LEAF = range(9)
+@dataclass(frozen=True, eq=False)
+class _AtomSpec:
+    """An extension atom as the plan sees it: the node, its free
+    variables in sorted-name order and their environment slots.
+    ``index`` keys the family-wide memo of an assignment-pure atom."""
+
+    atom: Formula
+    names: tuple
+    index: int
+    slots: tuple  # repro-lint: domain[iter[slot]] the atom's free-variable slots, minted by _Compiler._slot
 
 
-class _Plan:
-    """One compiled formula node (a parallel tree over the sentence)."""
+@dataclass(frozen=True, eq=False)
+class _ChainSpec:
+    """A chain atom projected onto one pooled part variable.  ``head``
+    and ``knowns`` are pool refs (see :meth:`_Ctx.ref`; ``None`` marks
+    the pooled variable and masked unknowns); ``index`` keys the
+    family-wide chain memo."""
 
-    __slots__ = (
-        "kind",
-        "node",
-        "children",
-        "cost",
-        "codes",
-        "var_slot",
-        "want",
-        "fv",
-        "free",
-        "pool",
-        "cache_index",
-        "ext_index",
-        "ext_free",
-    )
-
-    def __init__(self, kind: int, node: Formula) -> None:
-        self.kind = kind
-        self.node = node
-        self.children: tuple = ()
-        self.cost = 1
-        #: term codes: gid for a Const (≥ 0), ``-(slot + 1)`` for a Var.
-        self.codes: tuple = ()
-        self.var_slot = -1  # repro-lint: domain[slot] the quantified variable's environment slot
-        self.want = True
-        #: the node's free variables, collected bottom-up at compile time.
-        self.fv: frozenset = frozenset()
-        #: environment slots of the node's free variables (projection).
-        self.free: tuple = ()  # repro-lint: domain[iter[slot]]
-        self.pool = None
-        self.cache_index = -1
-        self.ext_index = -1
-        self.ext_free: tuple = ()
+    parts: tuple
+    var: Var
+    head: int
+    knowns: tuple
+    index: int
 
 
-# Pool-expression nodes.  A pool expression evaluates to a bitset of
-# gids (a big-int mask, :mod:`repro.kernel.bitset`) that is guaranteed
-# to contain every value of the pooled variable under which the guarded
-# subformula can reach the decisive truth value (the pool soundness
-# invariant); ``None`` pool plans mean "unconstrained — scan the word's
-# universe".
+@dataclass(frozen=True, eq=False)
+class _SweepPlan:
+    """One formula compiled for one alphabet.
 
-
-class _PoolAtom:
-    """Candidate generator from one Concat/ConcatChain atom.
-
-    ``case`` selects the specialised generator (which terms are known is
-    static); ``refs`` holds per-term value sources: an int gid ≥ 0 for
-    constants (resolved globally, *without* the per-word ⊥ check — the
-    quantifier scan intersects the pool with the word's factor universe,
-    which subsumes it), ``-(slot + 1)`` for outer-bound variables,
-    ``None`` for the pooled/masked unknowns.
+    Immutable and independent of any word family, so the daemon's
+    threads share it through :func:`compiled_plan`.  ``consts`` lists
+    the constant symbols the closures refer to by index; a
+    :class:`SweepProgram` interns them.
     """
 
-    __slots__ = ("case", "refs", "atom", "var", "index")
-
-    def __init__(self, case: str, refs: tuple, atom, var, index: int) -> None:
-        self.case = case
-        self.refs = refs
-        self.atom = atom
-        self.var = var
-        self.index = index
-
-
-class _PoolFilter:
-    """An assignment-pure unary extension atom used as a membership
-    filter (memoised per gid family-wide)."""
-
-    __slots__ = ("atom", "var", "index")
-
-    def __init__(self, atom, var, index: int) -> None:
-        self.atom = atom
-        self.var = var
-        self.index = index
-
-
-class _PoolInter:
-    __slots__ = ("sets", "filters")
-
-    def __init__(self, sets: tuple, filters: tuple) -> None:
-        self.sets = sets
-        self.filters = filters
-
-
-class _PoolUnion:
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple) -> None:
-        self.children = children
+    alphabet: str
+    consts: tuple
+    #: the formula's truth as one closure ``ctx → bool``.
+    root: Callable
+    #: free variables in sorted-name order — the relation's column
+    #: order, matching ``satisfying_assignments``' enumeration.
+    free_vars: tuple
+    #: per-free-var candidate pools for the relation scan: variable i is
+    #: scanned with variables i+1.. still unknown, so they are masked —
+    #: the same known/masked discipline as a quantifier prefix, reusing
+    #: the pool soundness invariant with target=True (the pool contains
+    #: every value under which the formula can still be satisfied).
+    free_pools: tuple
+    n_slots: int
+    n_quants: int
+    free_slots: tuple  # repro-lint: domain[iter[slot]] the free variables' slots, minted by _Compiler._slot
 
 
 class _Ctx:
-    """Per-word evaluation state."""
+    """Per-word evaluation state, plus the binding's lookups the plan's
+    closures read on every call."""
 
-    __slots__ = ("table", "env", "caches", "scan_memo", "view", "bitops")
+    __slots__ = (
+        "program",
+        "table",
+        "members",
+        "env",
+        "caches",
+        "scan_memo",
+        "view",
+        "bitops",
+        "gids",
+        "cat",
+        "eps",
+    )
 
-    def __init__(
-        self, table: SweepTable, n_slots: int, n_caches: int, view
-    ) -> None:
+    def __init__(self, program: "SweepProgram", table: SweepTable) -> None:
+        plan = program.plan
+        self.program = program
         self.table = table
+        self.members = table.members
         #: slot → gid of the current (partial) assignment.
-        self.env: list = [None] * n_slots  # repro-lint: domain[map[slot, intern:sweep]]
-        #: per-quantifier projection caches (projection tuple → bool).
-        self.caches = [dict() for _ in range(n_caches)]
+        self.env: list = [None] * plan.n_slots  # repro-lint: domain[map[slot, intern:sweep]]
+        #: per-quantifier projection caches (projection → bool).
+        self.caches = [{} for _ in range(plan.n_quants)]
         #: per-word memo for word-dependent candidate scans.
         self.scan_memo: dict = {}
-        self.view = view
+        self.view = _WordView(table.word, plan.alphabet)
         #: mask operations spent on this word (flushed to
         #: ``sweep_bitset_ops`` once per evaluate/relation call — one
-        #: locked counter update per word, not per op).
+        #: counter update per word, not per op).
         self.bitops = 0
+        self.cat = program.family.cat
+        self.gids = program.gids  # repro-lint: domain[iter[intern:sweep]] the plan's constants, interned by the binding
+        self.eps = program.family.epsilon_id  # repro-lint: domain[intern:sweep]
+
+    # repro-lint: domain[returns=intern:sweep] the declared pool-ref → gid translator
+    def ref(self, code: int) -> int:
+        """Runtime value of a pool ref: a constant's family gid (≥ 0,
+        *without* the per-word ⊥ check — :meth:`scan` intersects every
+        pool with the word's factor universe, which subsumes it) or an
+        outer-bound variable's value (``-(slot + 1)``)."""
+        if code >= 0:
+            return self.gids[code]
+        # repro-lint: allow[domains.slot-discipline] term codes encode Var slots as -(slot+1); this is the declared decoding
+        return self.env[-1 - code]
+
+    # repro-lint: domain[returns=intern:sweep] the declared term-code → gid translator for truth evaluation (None for ⊥)
+    def term(self, code: int):
+        """Truth-evaluation value of a term code: gid, or ``None`` for a
+        ⊥ constant (a letter absent from the word).  Out-of-alphabet
+        constants never compile, and ε is a factor of every word."""
+        if code < 0:
+            # repro-lint: allow[domains.slot-discipline] term codes encode Var slots as -(slot+1); this is the declared decoding
+            return self.env[-1 - code]
+        gid = self.gids[code]
+        return gid if gid in self.members else None
+
+    def scan(self, pool):
+        """The word's factors a quantifier (or relation column) ranges
+        over, in ``(len, text)`` order: the whole universe, or the pool
+        closure's candidates restricted to it.
+
+        Pool candidates are derived from *globally* resolved values
+        (constant gids, substrings of outer bindings) and may fall
+        outside this word's factor universe — e.g. a constant head whose
+        letter the word lacks (⊥ in the per-word structure).
+        Quantifiers range over the word's factors, so restrict to the
+        domain here; without this, assignment-pure extension atoms
+        (regex/oracle) can hold at non-domain values and flip the
+        verdict.
+        """
+        table = self.table
+        if pool is None:
+            return table.universe
+        # repro-lint: domain[bitset-pool:sweep] pool closures mint over the family's id space, unrestricted by this word
+        candidates = pool(self)
+        mask = candidates & table.mask
+        self.bitops += 1
+        if mask == table.mask:
+            # Unconstraining pool: the universe is already in
+            # (len, text) order — skip extraction and sort.
+            return table.universe
+        if not mask & (mask - 1):
+            # At most one candidate (the cut and half pools): no sort.
+            return (mask.bit_length() - 1,) if mask else ()
+        return sorted(iter_ids(mask), key=self.program.family.sort_key)
+
+    # repro-lint: domain[returns=bitset-pool:sweep, value=intern:sweep] every candidate here IS a factor of the word, but the pool contract stays uniform: callers intersect before witnessing
+    def word_scan(self, prefix: bool, value: int) -> int:
+        """Factors of the current word with a given prefix (``prefix``)
+        or suffix — the only word-dependent candidates, memoised per
+        word and keyed by the known value."""
+        key = (prefix, value)
+        cached = self.scan_memo.get(key)
+        if cached is None:
+            cached = self._scan_word(prefix, self.program.family.strings[value])
+            self.scan_memo[key] = cached
+        return cached
+
+    # repro-lint: domain[returns=bitset-pool:sweep] whole-word scan candidates are factors of the word, minted as a pool
+    def _scan_word(self, prefix: bool, value: str) -> int:
+        word = self.table.word
+        # Every factor of a table's word already has an id.
+        id_of = self.program.family.id_of
+        found = 0
+        starts = []
+        start = word.find(value)
+        while start != -1:
+            starts.append(start)
+            start = word.find(value, start + 1)
+        # An occurrence contributes the prefixes of word[start:] (or the
+        # suffixes of word[:end]); when that string is a prefix (suffix)
+        # of the last one scanned, its factors are all in ``found``
+        # already — on a periodic word, every occurrence after the first.
+        scanned = -1
+        if prefix:
+            for start in starts:
+                if scanned < 0 or not word.startswith(word[start:], scanned):
+                    for end in range(start + len(value), len(word) + 1):
+                        found |= 1 << id_of[word[start:end]]
+                    scanned = start
+        else:
+            for start in reversed(starts):
+                end = start + len(value)
+                if scanned < 0 or not word.endswith(word[:end], 0, scanned):
+                    for begin in range(0, start + 1):
+                        found |= 1 << id_of[word[begin:end]]
+                    scanned = end
+        return found
 
 
-class SweepProgram:
-    """One formula compiled against one :class:`SweepFamily`.
+# -- truth closures -----------------------------------------------------------
+#
+# A term code is ``-(slot + 1)`` for a variable and a constant index
+# (≥ 0, into the plan's ``consts``) otherwise.  Every factory returns one
+# closure ``ctx → bool``.
 
-    Sentences answer membership via :meth:`evaluate`; open formulas
-    emit their satisfying-assignment relation via :meth:`relation`.
-    """
 
-    def __init__(
-        self, sentence: Formula, family: SweepFamily, alphabet: str
-    ) -> None:
-        self.family = family
+def _concat(x: int, y: int, z: int):
+    if x < 0 and y < 0 and z < 0:
+        xs, ys, zs = -1 - x, -1 - y, -1 - z
+
+        def concat_vars(ctx):
+            env = ctx.env
+            # Values are factors of the word, so the string equation
+            # x = y·z is exactly R∘ membership.
+            return ctx.cat(env[ys], env[zs]) == env[xs]
+
+        return concat_vars
+
+    def concat(ctx):
+        term = ctx.term
+        x_val, y_val, z_val = term(x), term(y), term(z)
+        if x_val is None or y_val is None or z_val is None:
+            return False
+        return ctx.cat(y_val, z_val) == x_val
+
+    return concat
+
+
+def _chain(head: int, parts: tuple):
+    def chain(ctx):
+        term = ctx.term
+        head_val = term(head)
+        if head_val is None:
+            return False
+        members = ctx.members
+        cat = ctx.cat
+        joined = ctx.eps
+        for code in parts:
+            value = term(code)
+            if value is None:
+                return False
+            joined = cat(joined, value)
+            if joined not in members:
+                # A true chain's partial concatenations are prefixes of
+                # the (factor) head, hence factors: fail early.
+                return False
+        return joined == head_val
+
+    return chain
+
+
+def _not(inner):
+    def negation(ctx):
+        return not inner(ctx)
+
+    return negation
+
+
+def _and(children: tuple):
+    def conjunction(ctx):
+        for child in children:
+            if not child(ctx):
+                return False
+        return True
+
+    return conjunction
+
+
+def _or(children: tuple):
+    def disjunction(ctx):
+        for child in children:
+            if child(ctx):
+                return True
+        return False
+
+    return disjunction
+
+
+def _implies(left, right):
+    def implication(ctx):
+        return (not left(ctx)) or right(ctx)
+
+    return implication
+
+
+def _search(want: bool, slot: int, pool, inner):
+    """The uncached scan of one quantifier, ``ctx → bool``; the shadowed
+    value of ``slot`` is restored after the scan."""
+    if want:
+
+        def exists(ctx):
+            env = ctx.env
+            shadow = env[slot]
+            env[slot] = None
+            result = False
+            for gid in ctx.scan(pool):
+                env[slot] = gid
+                if inner(ctx):
+                    result = True
+                    break
+            env[slot] = shadow
+            return result
+
+        return exists
+
+    def forall(ctx):
+        env = ctx.env
+        shadow = env[slot]
+        env[slot] = None
+        result = True
+        for gid in ctx.scan(pool):
+            env[slot] = gid
+            if not inner(ctx):
+                result = False
+                break
+        env[slot] = shadow
+        return result
+
+    return forall
+
+
+def _cached_quantifier(index: int, free: tuple, search):
+    """A quantifier cached per word on the projection of the assignment
+    onto its free variables."""
+    if not free:
+
+        def closed(ctx):
+            cache = ctx.caches[index]
+            result = cache.get(())
+            if result is None:
+                result = cache[()] = search(ctx)
+            return result
+
+        return closed
+    if len(free) == 1:
+        (first,) = free
+
+        def unary(ctx):
+            key = ctx.env[first]
+            cache = ctx.caches[index]
+            result = cache.get(key)
+            if result is None:
+                result = cache[key] = search(ctx)
+            return result
+
+        return unary
+    if len(free) == 2:
+        first, second = free
+
+        def binary(ctx):
+            env = ctx.env
+            key = (env[first], env[second])
+            cache = ctx.caches[index]
+            result = cache.get(key)
+            if result is None:
+                result = cache[key] = search(ctx)
+            return result
+
+        return binary
+
+    def general(ctx):
+        env = ctx.env
+        key = tuple([env[s] for s in free])
+        cache = ctx.caches[index]
+        result = cache.get(key)
+        if result is None:
+            result = cache[key] = search(ctx)
+        return result
+
+    return general
+
+
+def _pure_atom(spec: _AtomSpec):
+    def pure_atom(ctx):
+        return ctx.program._ext_truth(spec, ctx)
+
+    return pure_atom
+
+
+def _leaf_atom(spec: _AtomSpec, alphabet: str):
+    """An extension atom that is not assignment-pure: it reads the
+    word's structure, so it is evaluated afresh and never memoised
+    across words."""
+
+    def leaf_atom(ctx):
+        env = ctx.env
+        texts = ctx.program.family.strings
+        return spec.atom._evaluate(
+            word_structure(ctx.table.word, alphabet),
+            {v: texts[env[s]] for v, s in zip(spec.names, spec.slots)},
+        )
+
+    return leaf_atom
+
+
+# -- pool closures ------------------------------------------------------------
+#
+# A pool closure evaluates to a bitset of gids (a big-int mask,
+# :mod:`repro.kernel.bitset`) that is guaranteed to contain every value
+# of the pooled variable under which the guarded subformula can reach
+# the decisive truth value (the pool soundness invariant); a ``None``
+# pool means "unconstrained — scan the word's universe".  Pools may hold
+# gids that are not factors of the current word: :meth:`_Ctx.scan`
+# intersects before any id is witnessed.
+
+
+def _pool_combined(y: int, z: int):
+    """``x`` unknown, ``y`` and ``z`` known: the one candidate ``y·z``."""
+
+    def combined(ctx):
+        gid = ctx.cat(ctx.ref(y), ctx.ref(z))
+        return 1 << gid if gid in ctx.members else 0
+
+    return combined
+
+
+def _pool_fold(refs: tuple):
+    """A chain's head unknown, every part known: their concatenation."""
+
+    def fold(ctx):
+        ref = ctx.ref
+        cat = ctx.cat
+        joined = ctx.eps
+        for code in refs:
+            joined = cat(joined, ref(code))
+        return 1 << joined if joined in ctx.members else 0
+
+    return fold
+
+
+def _pool_word_scan(prefix: bool, known: int):
+    """``x`` unknown with a known prefix (``y``) or suffix (``z``)."""
+
+    def word_scan(ctx):
+        return ctx.word_scan(prefix, ctx.ref(known))
+
+    return word_scan
+
+
+def _pool_span(case: str, refs: tuple):
+    """Candidates that are substrings of a known head value."""
+    if len(refs) == 1:
+        (head,) = refs
+
+        def span1(ctx):
+            return ctx.program._span(case, (ctx.ref(head),))
+
+        return span1
+    head, other = refs
+
+    def span2(ctx):
+        ref = ctx.ref
+        return ctx.program._span(case, (ref(head), ref(other)))
+
+    return span2
+
+
+def _pool_chain(spec: _ChainSpec):
+    head = spec.head
+    knowns = spec.knowns
+
+    def chain_pool(ctx):
+        ref = ctx.ref
+        values = tuple([None if code is None else ref(code) for code in knowns])
+        return ctx.program._chain_pool(spec, ref(head), values)
+
+    return chain_pool
+
+
+def _pool_filter(spec: _AtomSpec):
+    """An assignment-pure unary atom filtering the word's universe."""
+
+    def filtered(ctx):
+        return ctx.program._filtered(spec, None, ctx)
+
+    return filtered
+
+
+def _pool_inter(sets: tuple, filters: tuple):
+    def intersection(ctx):
+        pool = None
+        for child in sets:
+            candidates = child(ctx)
+            if pool is None:
+                pool = candidates
+            else:
+                pool &= candidates
+                ctx.bitops += 1
+            if not pool:
+                return 0
+        for spec in filters:
+            pool = ctx.program._filtered(spec, pool, ctx)
+            if not pool:
+                return 0
+        return pool
+
+    return intersection
+
+
+def _pool_union(children: tuple):
+    def union(ctx):
+        merged = 0
+        for child in children:
+            merged |= child(ctx)
+            ctx.bitops += 1
+        return merged
+
+    return union
+
+
+class _Compiler:
+    """Throwaway builder for one :class:`_SweepPlan`: owns the counters
+    and maps compilation grows, so the plan itself is written once."""
+
+    def __init__(self, alphabet: str) -> None:
         self.alphabet = alphabet
-        self._quant_count = 0
-        self._pool_index = 0
-        self._ext_count = 0
         #: Var → environment-slot index.  Rebinding a variable reuses
         #: its slot; the quantifier's save/restore gives shadowing the
         #: same semantics the assignment dict had.
-        self._slot_of: dict = {}  # repro-lint: domain[map[plain, slot]]
-        #: family-global memos (all gid-keyed, hence word-independent).
-        self._span_memo: dict = {}
-        self._chain_memo: dict = {}
-        self._filter_memo: dict = {}
-        self._ext_memo: dict = {}
-        for const in constants_used(sentence):
+        self.slot_of: dict = {}  # repro-lint: domain[map[plain, slot]]
+        #: constant symbol → index into the plan's ``consts``.
+        self.const_of: dict = {}
+        self.n_atoms = 0
+        self.n_quants = 0
+
+    def plan(self, formula: Formula) -> _SweepPlan:
+        alphabet = self.alphabet
+        for const in constants_used(formula):
             if const.symbol != "" and const.symbol not in alphabet:
                 # The error WordStructure.constant raises for any word.
                 raise ValueError(
                     f"{const.symbol!r} is not a constant of τ_{{{alphabet}}}"
                 )
-        self.root = self._compile(sentence)
-        #: free variables in sorted-name order — the relation's column
-        #: order, matching ``satisfying_assignments``' enumeration.
-        self.free_vars = tuple(sorted(self.root.fv, key=lambda v: v.name))
-        self._free_slots = tuple(self._slot(v) for v in self.free_vars)  # repro-lint: domain[iter[slot]]
-        #: per-free-var candidate pools for the relation scan: variable
-        #: i is scanned with variables i+1.. still unknown, so they are
-        #: masked — the same known/masked discipline as a quantifier
-        #: prefix, reusing the pool soundness invariant with
-        #: target=True (the pool contains every value under which the
-        #: formula can still be satisfied).
-        self._free_pools = tuple(
-            self._compile_pool(
-                sentence, var, True, frozenset(self.free_vars[i + 1 :])
-            )
-            for i, var in enumerate(self.free_vars)
+        root, fv, _cost = self._compile(formula)
+        free_vars = tuple(sorted(fv, key=lambda v: v.name))
+        # repro-lint: domain[iter[slot]]
+        free_slots = tuple(self._slot(v) for v in free_vars)
+        free_pools = tuple(
+            self._pool(formula, var, True, frozenset(free_vars[i + 1 :]))
+            for i, var in enumerate(free_vars)
         )
-        self._n_slots = len(self._slot_of)
-        self._eps = family.epsilon_id  # repro-lint: domain[intern:sweep]
-
-    # -- compilation ---------------------------------------------------------
+        return _SweepPlan(
+            alphabet=alphabet,
+            consts=tuple(self.const_of),
+            root=root,
+            free_vars=free_vars,
+            free_pools=free_pools,
+            n_slots=len(self.slot_of),
+            n_quants=self.n_quants,
+            free_slots=free_slots,
+        )
 
     # repro-lint: domain[returns=slot] the slot mint: every environment index originates here
     def _slot(self, var: Var) -> int:
-        return self._slot_of.setdefault(var, len(self._slot_of))
+        return self.slot_of.setdefault(var, len(self.slot_of))
 
     def _code(self, term) -> int:
-        """Term code: Const → its gid (≥ 0), Var → ``-(slot + 1)``."""
+        """Term code: Const → its constant index (≥ 0), Var → ``-(slot + 1)``."""
         if isinstance(term, Const):
-            return self.family.intern(term.symbol)
+            return self.const_of.setdefault(term.symbol, len(self.const_of))
         return -1 - self._slot(term)
 
-    def _compile(self, node: Formula) -> _Plan:
+    def _compile(self, node: Formula):
+        """``(closure, free variables, cost)`` of one formula node."""
         if isinstance(node, Concat):
-            plan = _Plan(_CONCAT, node)
             terms = (node.x, node.y, node.z)
-            plan.codes = tuple(self._code(t) for t in terms)
-            plan.fv = frozenset(t for t in terms if isinstance(t, Var))
-            plan.cost = 1
-            return plan
+            codes = tuple(self._code(t) for t in terms)
+            fv = frozenset(t for t in terms if isinstance(t, Var))
+            return _concat(*codes), fv, 1
         if isinstance(node, ConcatChain):
-            plan = _Plan(_CHAIN, node)
             terms = (node.x, *node.parts)
-            plan.codes = tuple(self._code(t) for t in terms)
-            plan.fv = frozenset(t for t in terms if isinstance(t, Var))
-            plan.cost = len(node.parts)
-            return plan
+            codes = tuple(self._code(t) for t in terms)
+            fv = frozenset(t for t in terms if isinstance(t, Var))
+            return _chain(codes[0], codes[1:]), fv, len(node.parts)
         if isinstance(node, Not):
-            plan = _Plan(_NOT, node)
-            child = self._compile(node.inner)
-            plan.children = (child,)
-            plan.fv = child.fv
-            plan.cost = child.cost
-            return plan
+            inner, fv, cost = self._compile(node.inner)
+            return _not(inner), fv, cost
         if isinstance(node, (And, Or)):
-            plan = _Plan(_AND if isinstance(node, And) else _OR, node)
-            flat: list[_Plan] = []
+            flat: list = []
             self._flatten(node, type(node), flat)
             # Cheapest conjunct/disjunct first: evaluation is total, so
             # short-circuit order cannot change the boolean result, and
             # stable sort keeps the source order among equals.
-            flat.sort(key=lambda p: p.cost)
-            plan.children = tuple(flat)
-            plan.fv = frozenset().union(*(p.fv for p in flat))
-            plan.cost = sum(p.cost for p in flat)
-            return plan
+            flat.sort(key=lambda entry: entry[2])
+            children = tuple(entry[0] for entry in flat)
+            fv = frozenset().union(*(entry[1] for entry in flat))
+            cost = sum(entry[2] for entry in flat)
+            if isinstance(node, And):
+                return _and(children), fv, cost
+            return _or(children), fv, cost
         if isinstance(node, Implies):
-            plan = _Plan(_IMPLIES, node)
-            plan.children = (
-                self._compile(node.left),
-                self._compile(node.right),
-            )
-            plan.fv = plan.children[0].fv | plan.children[1].fv
-            plan.cost = plan.children[0].cost + plan.children[1].cost
-            return plan
+            left, left_fv, left_cost = self._compile(node.left)
+            right, right_fv, right_cost = self._compile(node.right)
+            return _implies(left, right), left_fv | right_fv, left_cost + right_cost
         if isinstance(node, (Exists, Forall)):
-            plan = _Plan(_QUANT, node)
-            inner = self._compile(node.inner)
-            plan.children = (inner,)
-            plan.var_slot = self._slot(node.var)
-            plan.want = isinstance(node, Exists)
-            plan.fv = inner.fv - {node.var}
-            plan.free = tuple(
-                self._slot(v) for v in sorted(plan.fv, key=lambda v: v.name)
-            )
-            plan.cache_index = self._quant_count
-            self._quant_count += 1
-            plan.pool = self._compile_pool(
-                node.inner, node.var, plan.want, frozenset()
-            )
-            plan.cost = 10 + 20 * inner.cost
-            return plan
+            index = self.n_quants
+            self.n_quants += 1
+            inner, inner_fv, inner_cost = self._compile(node.inner)
+            slot = self._slot(node.var)
+            want = isinstance(node, Exists)
+            fv = inner_fv - {node.var}
+            free = tuple(self._slot(v) for v in sorted(fv, key=lambda v: v.name))
+            pool = self._pool(node.inner, node.var, want, frozenset())
+            search = _search(want, slot, pool, inner)
+            return _cached_quantifier(index, free, search), fv, 10 + 20 * inner_cost
         # Extension atom.  When assignment-pure (truth a function of its
         # free-variable values alone) the family-wide value-tuple memo is
         # sound; any other atom is a per-word leaf.
         if getattr(node, "_evaluate", None) is not None:
-            pure = getattr(node, "_assignment_pure", False)
-            plan = _Plan(_EXT if pure else _LEAF, node)
-            plan.fv = free_variables(node)
-            plan.ext_free = tuple(sorted(plan.fv, key=lambda v: v.name))
-            plan.free = tuple(self._slot(v) for v in plan.ext_free)
-            if pure:
-                plan.ext_index = self._ext_count
-                self._ext_count += 1
-            plan.cost = 5
-            return plan
+            fv = free_variables(node)
+            names = tuple(sorted(fv, key=lambda v: v.name))
+            spec = _AtomSpec(
+                node, names, self._atom_index(), tuple(self._slot(v) for v in names)
+            )
+            if getattr(node, "_assignment_pure", False):
+                return _pure_atom(spec), fv, 5
+            return _leaf_atom(spec, self.alphabet), fv, 5
         raise TypeError(f"unknown formula node: {node!r}")
 
     def _flatten(self, node: Formula, op: type, out: list) -> None:
@@ -392,13 +772,25 @@ class SweepProgram:
         else:
             out.append(self._compile(node))
 
+    def _atom_index(self) -> int:
+        """A fresh memo-key index for one atom of the plan."""
+        index = self.n_atoms
+        self.n_atoms += 1
+        return index
+
     # -- pool compilation ----------------------------------------------------
 
-    def _compile_pool(
-        self, node: Formula, var: Var, target: bool, masked: frozenset
-    ):
-        """The candidate pool of ``var`` for which ``node`` can evaluate
-        to ``target``, as a pool expression (``None``: unconstrained).
+    def _pool(self, node: Formula, var: Var, target: bool, masked: frozenset):
+        """The candidate pool closure of ``var`` for which ``node`` can
+        evaluate to ``target`` (``None``: unconstrained)."""
+        pool = self._pool_expr(node, var, target, masked)
+        if isinstance(pool, _AtomSpec):
+            return _pool_filter(pool)
+        return pool
+
+    def _pool_expr(self, node: Formula, var: Var, target: bool, masked: frozenset):
+        """As :meth:`_pool`, but a lone filter stays an :class:`_AtomSpec`
+        so an enclosing intersection can apply it to its candidates.
 
         Polarity-aware: ∧-true and ∨-false intersect their sides' pools,
         ∧-false and ∨-true unite them (``P → Q`` is ``¬P ∨ Q``).  A
@@ -410,9 +802,9 @@ class SweepProgram:
         if isinstance(node, (Concat, ConcatChain)):
             if not target:
                 return None
-            return self._compile_pool_atom(node, var, masked)
+            return self._pool_atom(node, var, masked)
         if isinstance(node, Not):
-            return self._compile_pool(node.inner, var, not target, masked)
+            return self._pool_expr(node.inner, var, not target, masked)
         if isinstance(node, (And, Or, Implies)):
             if isinstance(node, And):
                 pairs = ((node.left, target), (node.right, target))
@@ -424,21 +816,34 @@ class SweepProgram:
                 pairs = ((node.left, not target), (node.right, target))
                 want_inter = not target
             children = [
-                self._compile_pool(sub, var, sub_target, masked)
+                self._pool_expr(sub, var, sub_target, masked)
                 for sub, sub_target in pairs
             ]
             if want_inter:
                 kept = [c for c in children if c is not None]
-                return self._make_inter(kept)
+                if not kept:
+                    return None
+                if len(kept) == 1:
+                    return kept[0]
+                sets = tuple(
+                    c for c in kept if not isinstance(c, _AtomSpec)
+                )
+                filters = tuple(c for c in kept if isinstance(c, _AtomSpec))
+                return _pool_inter(sets, filters)
             if any(c is None for c in children):
                 return None
-            return _PoolUnion(tuple(children))
+            return _pool_union(
+                tuple(
+                    _pool_filter(c) if isinstance(c, _AtomSpec) else c
+                    for c in children
+                )
+            )
         if isinstance(node, (Exists, Forall)):
             if node.var == var:
                 # Rebinding: every atom below sees var as masked, so the
                 # whole subtree is unconstraining.
                 return None
-            return self._compile_pool(
+            return self._pool_expr(
                 node.inner, var, target, masked | {node.var}
             )
         # Extension atom: an assignment-pure one whose only free variable
@@ -448,37 +853,24 @@ class SweepProgram:
             and getattr(node, "_assignment_pure", False)
             and free_variables(node) == frozenset((var,))
         ):
-            index = self._pool_index
-            self._pool_index += 1
-            return _PoolFilter(node, var, index)
+            return _AtomSpec(node, (var,), self._atom_index(), ())
         return None
 
-    def _make_inter(self, children: list):
-        if not children:
-            return None
-        if len(children) == 1:
-            return children[0]
-        sets = tuple(c for c in children if not isinstance(c, _PoolFilter))
-        filters = tuple(c for c in children if isinstance(c, _PoolFilter))
-        return _PoolInter(sets, filters)
-
-    def _compile_pool_atom(self, atom, var: Var, masked: frozenset):
-        """Pick the specialised candidate case for one atom; ``None``
-        when the atom cannot constrain ``var`` (the pooled variable on
-        both sides, or no known value to derive candidates from)."""
+    def _pool_atom(self, atom, var: Var, masked: frozenset):
+        """The specialised candidate closure for one atom; ``None`` when
+        the atom cannot constrain ``var`` (the pooled variable on both
+        sides, or no known value to derive candidates from)."""
 
         def ref(term):
-            """Value source for a term: gid ≥ 0 (Const), ``-(slot+1)``
+            """Pool ref for a term: constant index ≥ 0, ``-(slot+1)``
             (outer-bound Var), or None (the pooled variable / a masked
             inner variable)."""
             if isinstance(term, Const):
-                return self.family.intern(term.symbol)
+                return self._code(term)
             if term == var or term in masked:
                 return None
             return -1 - self._slot(term)
 
-        index = self._pool_index
-        self._pool_index += 1
         if isinstance(atom, Concat):
             terms = (atom.x, atom.y, atom.z)
             if var not in terms:
@@ -487,33 +879,31 @@ class SweepProgram:
             x_ref, y_ref, z_ref = (ref(t) for t in terms)
             if in_x and not in_y and not in_z:
                 if y_ref is not None and z_ref is not None:
-                    return _PoolAtom("xc", (y_ref, z_ref), atom, var, index)
+                    return _pool_combined(y_ref, z_ref)
                 if y_ref is not None:
-                    return _PoolAtom("xp", (y_ref,), atom, var, index)
+                    return _pool_word_scan(True, y_ref)
                 if z_ref is not None:
-                    return _PoolAtom("xs", (z_ref,), atom, var, index)
+                    return _pool_word_scan(False, z_ref)
                 return None
             if in_y or in_z:
                 if x_ref is None:
                     return None  # includes the in_x-and-in_y/z mixes
                 if in_y and in_z:
-                    return _PoolAtom("half", (x_ref,), atom, var, index)
+                    return _pool_span("half", (x_ref,))
                 if in_y:
                     if z_ref is not None:
-                        return _PoolAtom(
-                            "ycut", (x_ref, z_ref), atom, var, index
-                        )
-                    return _PoolAtom("yall", (x_ref,), atom, var, index)
+                        return _pool_span("ycut", (x_ref, z_ref))
+                    return _pool_span("yall", (x_ref,))
                 if y_ref is not None:
-                    return _PoolAtom("zcut", (x_ref, y_ref), atom, var, index)
-                return _PoolAtom("zall", (x_ref,), atom, var, index)
+                    return _pool_span("zcut", (x_ref, y_ref))
+                return _pool_span("zall", (x_ref,))
             return None
         # ConcatChain.
         if var == atom.x:
             refs = tuple(ref(part) for part in atom.parts)
             if any(r is None for r in refs):
                 return None
-            return _PoolAtom("fold", refs, atom, var, index)
+            return _pool_fold(refs)
         if var not in atom.parts:
             return None
         head_ref = ref(atom.x)
@@ -522,146 +912,50 @@ class SweepProgram:
         part_refs = tuple(
             None if part == var else ref(part) for part in atom.parts
         )
-        return _PoolAtom("bt", (head_ref, *part_refs), atom, var, index)
+        return _pool_chain(
+            _ChainSpec(atom.parts, var, head_ref, part_refs, self._atom_index())
+        )
 
-    # -- pool evaluation -----------------------------------------------------
 
-    # repro-lint: domain[returns=intern:sweep] the declared term-code → gid translator
-    def _resolve(self, ref: int, ctx: _Ctx) -> int:
-        """Runtime value of a compiled ref (gid or outer-bound slot)."""
-        if ref >= 0:
-            return ref
-        # repro-lint: allow[domains.slot-discipline] term codes encode Var slots as -(slot+1); this is the declared decoding
-        return ctx.env[-1 - ref]
+@lru_cache(maxsize=256)
+def compiled_plan(formula: Formula, alphabet: str) -> _SweepPlan:
+    """The plan of ``formula`` over ``alphabet`` (shared process-wide)."""
+    return _Compiler(alphabet).plan(formula)
 
-    # repro-lint: domain[returns=bitset-pool:sweep] pools may contain gids that are not factors of the current word — intersect with ctx.table.mask before witnessing
-    def _pool_eval(self, expr, ctx: _Ctx) -> int:
-        """Evaluate a pool expression to a gid bitset (big-int mask)."""
-        if isinstance(expr, _PoolAtom):
-            return self._pool_atom_eval(expr, ctx)
-        if isinstance(expr, _PoolInter):
-            pool = None
-            for child in expr.sets:
-                candidates = self._pool_eval(child, ctx)
-                if pool is None:
-                    pool = candidates
-                else:
-                    pool &= candidates
-                    ctx.bitops += 1
-                if pool is not None and not pool:
-                    return 0
-            for flt in expr.filters:
-                if pool is None:
-                    source = ctx.table.universe
-                else:
-                    # repro-lint: allow[domains.universe-escape] filter refinement inside the pool evaluator: the result stays a pool, and every caller intersects with the member mask before witnessing
-                    source = iter_ids(pool)
-                acc = 0
-                for gid in source:
-                    if self._filter_ok(flt, gid, ctx):
-                        acc |= 1 << gid
-                ctx.bitops += 1
-                pool = acc
-                if not pool:
-                    return 0
-            return pool
-        if isinstance(expr, _PoolUnion):
-            merged = 0
-            for child in expr.children:
-                merged |= self._pool_eval(child, ctx)
-                ctx.bitops += 1
-            return merged
-        # _PoolFilter standing alone: filter the word's universe.
-        acc = 0
-        for gid in ctx.table.universe:
-            if self._filter_ok(expr, gid, ctx):
-                acc |= 1 << gid
-        ctx.bitops += 1
-        return acc
 
-    # repro-lint: domain[gid=intern:sweep] filters test one candidate gid at a time
-    def _filter_ok(self, flt: _PoolFilter, gid: int, ctx: _Ctx) -> bool:
-        key = (flt.index, gid)
-        cached = self._filter_memo.get(key)
-        if cached is None:
-            cached = flt.atom._evaluate(
-                # repro-lint: allow[effects.memo-key-completeness] ctx.view only reaches _assignment_pure atoms, whose results do not depend on it (enforced by effects.assignment-purity)
-                ctx.view, {flt.var: self.family.strings[gid]}
-            )
-            self._filter_memo[key] = cached
-        return cached
+metrics.register("fc.sweep.compiled_plan", compiled_plan)
 
-    # repro-lint: domain[returns=bitset-pool:sweep] atom pools are minted over the family's id space, unrestricted by the current word
-    def _pool_atom_eval(self, pa: _PoolAtom, ctx: _Ctx) -> int:
-        family = self.family
-        texts = family.strings
-        case = pa.case
-        if case == "xc":
-            combined = family.cat(
-                self._resolve(pa.refs[0], ctx), self._resolve(pa.refs[1], ctx)
-            )
-            if combined in ctx.table.members:
-                return 1 << combined
-            return 0
-        if case == "fold":
-            joined = family.epsilon_id
-            for ref in pa.refs:
-                joined = family.cat(joined, self._resolve(ref, ctx))
-            if joined in ctx.table.members:
-                return 1 << joined
-            return 0
-        if case in ("xp", "xs"):
-            # Whole-word scans are the only word-dependent candidates:
-            # memoised per word (ctx), keyed by the known value.
-            value = self._resolve(pa.refs[0], ctx)
-            key = (case, value)
-            cached = ctx.scan_memo.get(key)
-            if cached is None:
-                cached = self._word_scan(case, texts[value], ctx)
-                ctx.scan_memo[key] = cached
-            return cached
-        if case == "bt":
-            env = ctx.env
-            head = self._resolve(pa.refs[0], ctx)
-            knowns = tuple(
-                # repro-lint: allow[domains.slot-discipline] inlined term-code decoding (see _resolve), kept local to preserve the memo-key fast path
-                ref if ref is None or ref >= 0 else env[-1 - ref]
-                for ref in pa.refs[1:]
-            )
-            key = (pa.index, head, knowns)
-            cached = self._chain_memo.get(key)
-            if cached is None:
-                cached = self._chain_backtrack(pa, head, knowns)
-                self._chain_memo[key] = cached
-            return cached
-        # Span cases: substrings of one known value — word-independent.
-        values = tuple(self._resolve(ref, ctx) for ref in pa.refs)
+
+class SweepProgram:
+    """One compiled plan bound to one :class:`SweepFamily`.
+
+    Sentences answer membership via :meth:`evaluate`; open formulas
+    emit their satisfying-assignment relation via :meth:`relation`.
+    The binding holds the family-wide memos (all gid-keyed, hence
+    word-independent); the plan it runs is shared and never written.
+    """
+
+    def __init__(self, plan: _SweepPlan, family: SweepFamily) -> None:
+        self.plan = plan
+        self.family = family
+        self.free_vars = plan.free_vars
+        self._span_memo: dict = {}
+        self._chain_memo: dict = {}
+        self._filter_memo: dict = {}
+        self._ext_memo: dict = {}
+        intern = family.intern
+        self.gids = tuple(intern(symbol) for symbol in plan.consts)  # repro-lint: domain[iter[intern:sweep]] the plan's constants in this family's id space
+
+    # -- family-wide memos ---------------------------------------------------
+
+    # repro-lint: domain[returns=bitset-pool:sweep, values=iter[intern:sweep]] substring candidates of a known value may be absent from the current word's factor set
+    def _span(self, case: str, values: tuple) -> int:
         key = (case, *values)
         cached = self._span_memo.get(key)
         if cached is None:
             cached = self._span_candidates(case, values)
             self._span_memo[key] = cached
         return cached
-
-    # repro-lint: domain[returns=bitset-pool:sweep] every candidate here IS a factor of the word, but the pool contract stays uniform: callers intersect before witnessing
-    def _word_scan(self, case: str, value: str, ctx: _Ctx) -> int:
-        """Factors of the current word with a given prefix/suffix."""
-        word = ctx.table.word
-        intern = self.family.intern
-        found = 0
-        start = word.find(value)
-        if case == "xp":
-            while start != -1:
-                for end in range(start + len(value), len(word) + 1):
-                    found |= 1 << intern(word[start:end])
-                start = word.find(value, start + 1)
-        else:
-            while start != -1:
-                end = start + len(value)
-                for begin in range(0, start + 1):
-                    found |= 1 << intern(word[begin:end])
-                start = word.find(value, start + 1)
-        return found
 
     # repro-lint: domain[returns=bitset-pool:sweep, values=iter[intern:sweep]] substring candidates of a known value may be absent from the current word's factor set
     def _span_candidates(self, case: str, values: tuple) -> int:
@@ -696,16 +990,25 @@ class SweepProgram:
         return mask
 
     # repro-lint: domain[returns=bitset-pool:sweep, head_gid=intern:sweep, knowns=iter[intern:sweep]] chain projections intern fresh decomposition parts on demand
+    def _chain_pool(self, spec: _ChainSpec, head_gid: int, knowns: tuple) -> int:
+        key = (spec.index, head_gid, knowns)
+        cached = self._chain_memo.get(key)
+        if cached is None:
+            cached = self._chain_backtrack(spec, head_gid, knowns)
+            self._chain_memo[key] = cached
+        return cached
+
+    # repro-lint: domain[returns=bitset-pool:sweep, head_gid=intern:sweep, knowns=iter[intern:sweep]] chain projections intern fresh decomposition parts on demand
     def _chain_backtrack(
-        self, pa: _PoolAtom, head_gid: int, knowns: tuple
+        self, spec: _ChainSpec, head_gid: int, knowns: tuple
     ) -> int:
         """Project the head's chain decompositions onto the pooled
         variable: backtracking over split points, with constants and
         known values pruning (on the global id space)."""
         family = self.family
         head = family.strings[head_gid]
-        parts = pa.atom.parts
-        var = pa.var
+        parts = spec.parts
+        var = spec.var
         texts = family.strings
         values = [None if g is None else texts[g] for g in knowns]
         total = len(head)
@@ -737,6 +1040,50 @@ class SweepProgram:
             mask |= 1 << family.intern(s)
         return mask
 
+    # repro-lint: domain[returns=bitset-pool:sweep, pool=bitset-pool:sweep] filter refinement keeps a pool a pool
+    def _filtered(self, spec: _AtomSpec, pool, ctx: _Ctx) -> int:
+        """The candidates (``None``: the word's universe) that satisfy
+        an assignment-pure unary filter atom."""
+        if pool is None:
+            source = ctx.table.universe
+        else:
+            # repro-lint: allow[domains.universe-escape] filter refinement inside the pool evaluator: the result stays a pool, and every caller intersects with the member mask before witnessing
+            source = iter_ids(pool)
+        acc = 0
+        for gid in source:
+            if self._filter_ok(spec, gid, ctx):
+                acc |= 1 << gid
+        ctx.bitops += 1
+        return acc
+
+    # repro-lint: domain[gid=intern:sweep] filters test one candidate gid at a time
+    def _filter_ok(self, flt: _AtomSpec, gid: int, ctx: _Ctx) -> bool:
+        key = (flt.index, gid)
+        cached = self._filter_memo.get(key)
+        if cached is None:
+            cached = flt.atom._evaluate(
+                # repro-lint: allow[effects.memo-key-completeness] ctx.view only reaches _assignment_pure atoms, whose results do not depend on it (enforced by effects.assignment-purity)
+                ctx.view, {flt.names[0]: self.family.strings[gid]}
+            )
+            self._filter_memo[key] = cached
+        return cached
+
+    def _ext_truth(self, spec: _AtomSpec, ctx: _Ctx):
+        """An assignment-pure atom's truth, memoised on the value
+        projection of its free variables."""
+        env = ctx.env
+        projection = tuple([env[s] for s in spec.slots])
+        key = (spec.index, projection)
+        cached = self._ext_memo.get(key)
+        if cached is None:
+            texts = self.family.strings
+            assignment = {
+                v: texts[g] for v, g in zip(spec.names, projection)
+            }
+            cached = spec.atom._evaluate(ctx.view, assignment)
+            self._ext_memo[key] = cached
+        return cached
+
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, table: SweepTable, assignment=None) -> bool:
@@ -746,20 +1093,21 @@ class SweepProgram:
         (a sentence needs none); other entries are ignored.  Open
         formulas also emit their whole relation via :meth:`relation`.
         """
-        ctx = _Ctx(
-            table,
-            self._n_slots,
-            self._quant_count,
-            _WordView(table.word, self.alphabet),
-        )
-        for var in self.free_vars:
-            if assignment is None or var not in assignment:
-                raise ValueError(
-                    f"evaluate() needs a value for free variable {var!r}; "
-                    f"open formulas emit their relation via relation()"
-                )
-            ctx.env[self._slot_of[var]] = self.family.intern(assignment[var])
-        result = self._eval(self.root, ctx)
+        ctx = _Ctx(self, table)
+        plan = self.plan
+        if plan.free_vars:
+            env = ctx.env
+            intern = self.family.intern
+            for index, var in enumerate(plan.free_vars):
+                slot = plan.free_slots[index]
+                if assignment is None or var not in assignment:
+                    raise ValueError(
+                        f"evaluate() needs a value for free variable "
+                        f"{var!r}; open formulas emit their relation via "
+                        f"relation()"
+                    )
+                env[slot] = intern(assignment[var])
+        result = plan.root(ctx)
         if ctx.bitops:
             metrics.record("sweep_bitset_ops", ctx.bitops)
         return result
@@ -776,15 +1124,10 @@ class SweepProgram:
         word for word the same whichever family the table belongs to;
         stored relations are therefore bit-identical across runs.
         """
-        ctx = _Ctx(
-            table,
-            self._n_slots,
-            self._quant_count,
-            _WordView(table.word, self.alphabet),
-        )
+        ctx = _Ctx(self, table)
         rows: list = []
-        if not self.free_vars:
-            if self._eval(self.root, ctx):
+        if not self.plan.free_vars:
+            if self.plan.root(ctx):
                 rows.append(())
         else:
             self._relation_scan(0, ctx, rows)
@@ -797,156 +1140,19 @@ class SweepProgram:
     def _relation_scan(self, level: int, ctx: _Ctx, rows: list) -> None:
         """Scan free variable ``level`` over its pool ∩ factor universe,
         recursing to deeper columns; leaves evaluate the matrix."""
-        slots = self._free_slots
+        plan = self.plan
+        slots = plan.free_slots
         env = ctx.env
         if level == len(slots):
-            if self._eval(self.root, ctx):
+            if plan.root(ctx):
                 rows.append(tuple(env[s] for s in slots))
             return
-        table = ctx.table
-        pool = self._free_pools[level]
-        if pool is None:
-            scan = table.universe
-        else:
-            # Same domain restriction as _quantifier: pools may contain
-            # globally-resolved non-factors (absent-letter Consts).
-            mask = self._pool_eval(pool, ctx) & table.mask
-            ctx.bitops += 1
-            if mask == table.mask:
-                scan = table.universe
-            else:
-                scan = sorted(iter_ids(mask), key=self.family.sort_key)
         slot = slots[level]
         next_level = level + 1
-        for gid in scan:
+        for gid in ctx.scan(plan.free_pools[level]):
             env[slot] = gid
             self._relation_scan(next_level, ctx, rows)
         env[slot] = None
-
-    # repro-lint: domain[returns=intern:sweep] term-code → gid translator for truth evaluation (None for ⊥)
-    def _term_gid(self, code: int, ctx: _Ctx):
-        """Truth-evaluation term value: gid, or ``None`` for a ⊥
-        constant (a letter absent from the word).  Out-of-alphabet
-        constants never compile, so every gid code here is ε or a
-        letter of Σ."""
-        if code < 0:
-            # repro-lint: allow[domains.slot-discipline] term codes encode Var slots as -(slot+1); this is the declared decoding
-            return ctx.env[-1 - code]
-        if code == self._eps:
-            return code
-        return code if code in ctx.table.members else None
-
-    def _eval(self, plan: _Plan, ctx: _Ctx) -> bool:
-        kind = plan.kind
-        if kind == _CONCAT:
-            codes = plan.codes
-            x = self._term_gid(codes[0], ctx)
-            y = self._term_gid(codes[1], ctx)
-            z = self._term_gid(codes[2], ctx)
-            if x is None or y is None or z is None:
-                return False
-            # Values are factors of the word, so the string equation
-            # x = y·z is exactly R∘ membership.
-            return self.family.cat(y, z) == x
-        if kind == _CHAIN:
-            head = self._term_gid(plan.codes[0], ctx)
-            if head is None:
-                return False
-            members = ctx.table.members
-            cat = self.family.cat
-            joined = self._eps
-            for code in plan.codes[1:]:
-                value = self._term_gid(code, ctx)
-                if value is None:
-                    return False
-                joined = cat(joined, value)
-                if joined not in members:
-                    # A true chain's partial concatenations are prefixes
-                    # of the (factor) head, hence factors: fail early.
-                    return False
-            return joined == head
-        if kind == _AND:
-            for child in plan.children:
-                if not self._eval(child, ctx):
-                    return False
-            return True
-        if kind == _OR:
-            for child in plan.children:
-                if self._eval(child, ctx):
-                    return True
-            return False
-        if kind == _NOT:
-            return not self._eval(plan.children[0], ctx)
-        if kind == _IMPLIES:
-            return (not self._eval(plan.children[0], ctx)) or self._eval(
-                plan.children[1], ctx
-            )
-        if kind == _QUANT:
-            return self._quantifier(plan, ctx)
-        env = ctx.env
-        projection = tuple(env[s] for s in plan.free)
-        if kind == _LEAF:
-            # Not assignment-pure: reads the word's structure, so it is
-            # evaluated afresh and never memoised across words.
-            texts = self.family.strings
-            return plan.node._evaluate(
-                word_structure(ctx.table.word, self.alphabet),
-                {v: texts[g] for v, g in zip(plan.ext_free, projection)},
-            )
-        # _EXT: assignment-pure — memoised on the value projection.
-        key = (plan.ext_index, projection)
-        cached = self._ext_memo.get(key)
-        if cached is None:
-            texts = self.family.strings
-            assignment = {
-                v: texts[g] for v, g in zip(plan.ext_free, projection)
-            }
-            cached = plan.node._evaluate(ctx.view, assignment)
-            self._ext_memo[key] = cached
-        return cached
-
-    def _quantifier(self, plan: _Plan, ctx: _Ctx) -> bool:
-        env = ctx.env
-        slot = plan.var_slot
-        shadow = env[slot]
-
-        cache = ctx.caches[plan.cache_index]
-        projection = tuple(env[s] for s in plan.free)
-        result = cache.get(projection)
-        if result is None:
-            env[slot] = None
-            if plan.pool is None:
-                scan = ctx.table.universe
-            else:
-                # Pool candidates are derived from *globally* resolved
-                # values (Const gids, substrings of outer bindings) and
-                # may fall outside this word's factor universe — e.g. a
-                # Const head whose letter the word lacks (⊥ in the
-                # per-word structure).  Quantifiers range over the
-                # word's factors, so restrict to the domain here;
-                # without this, assignment-pure extension atoms
-                # (regex/oracle) can hold at non-domain values and flip
-                # the verdict.
-                mask = self._pool_eval(plan.pool, ctx) & ctx.table.mask
-                ctx.bitops += 1
-                if mask == ctx.table.mask:
-                    # Unconstraining pool: the universe is already in
-                    # (len, text) order — skip extraction and sort.
-                    scan = ctx.table.universe
-                else:
-                    scan = sorted(iter_ids(mask), key=self.family.sort_key)
-            want = plan.want
-            inner = plan.children[0]
-            result = not want
-            for gid in scan:
-                env[slot] = gid
-                if self._eval(inner, ctx) == want:
-                    result = want
-                    break
-            cache[projection] = result
-
-        env[slot] = shadow
-        return result
 
 
 class LanguageSweep:
@@ -959,10 +1165,11 @@ class LanguageSweep:
         self.family = SweepFamily(tuple(alphabet))
 
     def compile(self, formula: Formula) -> SweepProgram:
-        """Compile an FC[REG] formula against this family: sentences and
-        assigned open formulas answer :meth:`SweepProgram.evaluate`,
-        open formulas emit :meth:`SweepProgram.relation`."""
-        return SweepProgram(formula, self.family, self.alphabet)
+        """Bind the cached plan of an FC[REG] formula to this family:
+        sentences and assigned open formulas answer
+        :meth:`SweepProgram.evaluate`, open formulas emit
+        :meth:`SweepProgram.relation`."""
+        return SweepProgram(compiled_plan(formula, self.alphabet), self.family)
 
     def subtree(self, prefix: str):
         """A shard view over one prefix subtree of the enumeration tree.

@@ -252,6 +252,7 @@ def quantifier_rank(formula: Formula) -> int:
     raise TypeError(f"unknown formula node: {formula!r}")
 
 
+# repro-lint: effects[pure] every extension atom's _atom_terms hook only yields its frozen term fields
 def _atom_terms(formula: Formula) -> Iterator[Term]:
     if isinstance(formula, Concat):
         yield formula.x

@@ -190,7 +190,22 @@ class KernelSolver(PartialIsoCheck):
         self._response_order: dict = {}
         self._runs_a: "list | None" = None
         self._runs_b: "list | None" = None
+        self._ids_a = self._response_ids(self._n_a)
+        self._ids_b = self._response_ids(self._n_b)
         self._sym = self._symmetries()
+
+    @staticmethod
+    def _response_ids(n_factors: int):
+        """One side's response ids ``0 … n_factors``.
+
+        A dense side caches its response orders, so they are sliced out
+        of one shared tuple: every cached order then holds the same int
+        object per id instead of its own copy of each id above 256.  A
+        sparse side generates its orders lazily from a ``range``.
+        """
+        if n_factors > _DENSE_LIMIT:
+            return range(n_factors + 1)
+        return tuple(range(n_factors + 1))
 
     @staticmethod
     def _mirror(source: InternTable, target: InternTable) -> tuple[int, ...]:
@@ -325,7 +340,7 @@ class KernelSolver(PartialIsoCheck):
                 # repro-lint: allow[concurrency.shared-state-race] lazy init
                 self._runs_b = self._length_runs(self.table_b)
             runs = self._runs_b
-            count = self._n_b + 1
+            ids = self._ids_b
         else:
             mirror = self._mirror_ba[element]
             own_length = self.table_b.lengths[element]
@@ -334,11 +349,11 @@ class KernelSolver(PartialIsoCheck):
                 # repro-lint: allow[concurrency.shared-state-race] lazy init
                 self._runs_a = self._length_runs(self.table_a)
             runs = self._runs_a
-            count = self._n_a + 1
+            ids = self._ids_a
         ordered = self._merged_order(
-            mirror, own_length, runs, count, element == 0
+            mirror, own_length, runs, ids, element == 0
         )
-        if count - 1 > _DENSE_LIMIT:
+        if len(ids) - 1 > _DENSE_LIMIT:
             return ordered
         cached = tuple(ordered)
         # Grow-only order memo: deterministic per (side, element) key.
@@ -348,17 +363,17 @@ class KernelSolver(PartialIsoCheck):
 
     @staticmethod
     def _merged_order(
-        mirror: int, own_length: int, runs: list, count: int, is_bottom: bool
+        mirror: int, own_length: int, runs: list, ids, is_bottom: bool
     ):
-        """Yield response ids in the naive preference order (see above)."""
+        """Yield response ids in the naive preference order (see above),
+        taken from ``ids`` (the side's :meth:`_response_ids`)."""
         if is_bottom:
             # The ⊥ move: its mirror is ⊥ itself, and every factor sorts
             # by plain length = ascending id order.
-            yield 0
-            yield from range(1, count)
+            yield from ids
             return
         if mirror > 0:
-            yield mirror
+            yield ids[mirror]
         above = 0
         while above < len(runs) and runs[above][0] < own_length:
             above += 1
@@ -377,11 +392,11 @@ class KernelSolver(PartialIsoCheck):
                 _, start, end = runs[below]
                 below -= 1
             if start <= mirror < end:
-                yield from range(start, mirror)
-                yield from range(mirror + 1, end)
+                yield from ids[start:mirror]
+                yield from ids[mirror + 1 : end]
             else:
-                yield from range(start, end)
-        yield 0  # ⊥ responds last to a factor move
+                yield from ids[start:end]
+        yield ids[0]  # ⊥ responds last to a factor move
 
     def _response(
         self, rounds: int, position: tuple, side: str, element: int

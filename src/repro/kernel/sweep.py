@@ -14,7 +14,10 @@ cache is keyed on strings.  This module fixes both:
   the prefix tree** of the enumeration: ``Facs(w·a) = Facs(w) ∪
   {suffixes of w·a}``, so extending a parent table costs O(|w|) intern
   probes plus one sorted merge instead of the O(|w|²) from-scratch
-  interning — and the factor sets share their parent's ids.
+  interning — and the factor sets share their parent's ids;
+* a family of one word (the per-word FC front-ends) has no prefix table
+  to reuse, so :meth:`SweepFamily.word_table` builds its only table in
+  one pass: every factor, one ``(len, text)`` sort.
 
 The family's ``cat`` is *global* concatenation (total — every string has
 an id, interned on demand), unlike ``InternTable.cat`` which is partial
@@ -142,6 +145,34 @@ class SweepFamily:
         for end in range(start + 1, len(word) + 1):
             parent = self._extend(parent, word[:end])
         return parent
+
+    def word_table(self, word: str) -> SweepTable:
+        """The word's factor view built in one pass: every factor, one
+        ``(len, text)`` sort.
+
+        For a family of one word (the per-word front-ends), where no
+        prefix table will ever be reused; prefix-tree sweeps use
+        :meth:`table`, which extends a cached parent instead.
+        """
+        table = self._tables.get(word)
+        if table is not None:
+            return table
+        n = len(word)
+        texts = {word[begin:end] for begin in range(n) for end in range(begin + 1, n + 1)}
+        texts.add("")
+        intern = self.intern
+        universe = tuple(intern(text) for text in sorted(texts, key=lambda s: (len(s), s)))
+        table = SweepTable(
+            word,
+            intern(word),
+            universe,
+            frozenset(universe),
+            bitset.declare_universe(bitset.from_ids(universe), "sweep"),
+        )
+        self._tables[word] = table
+        metrics.record("sweep_tables_rebuilt")
+        metrics.record("sweep_words_interned")
+        return table
 
     def hydrate(self, word: str, factor_texts: list) -> SweepTable:
         """Install a word's table directly from its stored factor list.

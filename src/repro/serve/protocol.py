@@ -10,7 +10,9 @@ expected to check.
 Ops (see :data:`OPS` for the argument schemas):
 
 * ``ping``        — liveness + protocol version
-* ``stats``       — store/hydration counters of the serving process
+* ``stats``       — the serving process's metrics registry: the store
+  description, ``counters`` (the store section), ``solver`` and ``lru``
+  (every registered cache's hits, misses and residency)
 * ``membership``  — ``word ⊨ φ`` for a named paper formula or FC text
 * ``equiv``       — ``w ≡_k v`` (exact EF game)
 * ``rank``        — least separating rank ≤ ``max_k``

@@ -50,16 +50,18 @@ class QueryService:
 
     def op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         store = store_runtime.active()
+        snapshot = metrics.snapshot()
         return {
             "store": store.describe() if store is not None else None,
-            "counters": metrics.snapshot()["store"],
+            "counters": snapshot["store"],
+            "solver": snapshot["solver"],
+            "lru": snapshot["lru"],
         }
 
     def op_membership(self, request: dict[str, Any]) -> dict[str, Any]:
         from repro.fc.builders import paper_formula
         from repro.fc.parser import FCParseError, parse_fc
-        from repro.fc.semantics import defines_language_member
-        from repro.fc.syntax import free_variables
+        from repro.fc.semantics import OpenFormulaError, defines_language_member
 
         word = request["word"]
         named = request.get("formula")
@@ -83,16 +85,13 @@ class QueryService:
                 phi = parse_fc(text, alphabet)
             except FCParseError as error:
                 raise ProtocolError(f"membership: parse error: {error}")
-            if free_variables(phi):
-                names = sorted(v.name for v in free_variables(phi))
-                raise ProtocolError(
-                    f"membership: formula is open (free: {names})"
-                )
-        return {
-            "word": word,
-            "alphabet": alphabet,
-            "member": defines_language_member(word, phi, alphabet),
-        }
+        try:
+            member = defines_language_member(word, phi, alphabet)
+        except OpenFormulaError as error:
+            raise ProtocolError(
+                f"membership: formula is open (free: {error.names})"
+            ) from None
+        return {"word": word, "alphabet": alphabet, "member": member}
 
     def op_equiv(self, request: dict[str, Any]) -> dict[str, Any]:
         from repro.ef.equivalence import equiv_k

@@ -200,6 +200,53 @@ def test_lru_factory_results_are_thread_shared(tmp_path):
     ) == []
 
 
+def test_writes_through_a_held_shared_object_are_races(tmp_path):
+    # A field of the lru-cached plan is shared wherever it is written:
+    # through the holder's typed attribute, not only through ``self``.
+    files = {
+        "fixpkg/high/daemon.py": """\
+            import functools
+
+
+            class Plan:
+                def __init__(self, size: int):
+                    self.size = size
+
+
+            @functools.lru_cache(maxsize=None)
+            def plan_for(name: str) -> Plan:
+                return Plan(len(name))
+
+
+            class Binding:
+                def __init__(self, plan: Plan):
+                    self.plan = plan
+
+                def run(self):
+                    self.plan.size = 0
+
+
+            class Server:
+                def handle(self):
+                    Binding(plan_for("hot")).run()
+            """,
+    }
+    found = findings_of(
+        SharedStateRaceChecker(), tmp_path, files, **DAEMON_ROOTS
+    )
+    assert len(found) == 1
+    assert "Plan.size" in found[0].message
+    # Reading the shared plan and writing the private binding is clean.
+    clean = {
+        "fixpkg/high/daemon.py": files["fixpkg/high/daemon.py"].replace(
+            "self.plan.size = 0", "self.size = self.plan.size"
+        ),
+    }
+    assert findings_of(
+        SharedStateRaceChecker(), tmp_path, clean, **DAEMON_ROOTS
+    ) == []
+
+
 def test_ctor_writes_are_not_races(tmp_path):
     found = findings_of(SharedStateRaceChecker(), tmp_path, {
         "fixpkg/high/daemon.py": """\

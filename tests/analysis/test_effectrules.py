@@ -60,6 +60,52 @@ def test_transitively_pure_lru_cache_passes(tmp_path):
     assert found == []
 
 
+def test_returned_closure_body_is_not_the_factory_effect(tmp_path):
+    # A nested def runs when it is called: a cached factory that only
+    # returns the closure stays pure, whatever the closure does later.
+    found = findings_of(EffectPurityPropagationChecker(), tmp_path, {
+        "fixpkg/low/base.py": """\
+            import functools
+
+
+            def node(label):
+                def run(ctx):
+                    print(label)
+                    return ctx.cat(label)
+
+                return run
+
+
+            @functools.lru_cache(maxsize=None)
+            def cached(label):
+                return (node(label),)
+            """,
+    })
+    assert found == []
+
+
+def test_called_nested_def_is_the_enclosing_effect(tmp_path):
+    # The same closure called (or handed to a callee) inside the cached
+    # function runs there, so its effect is the function's.
+    for use in ("run(None)", "sorted([label], key=run)"):
+        found = findings_of(EffectPurityPropagationChecker(), tmp_path, {
+            "fixpkg/low/base.py": f"""\
+                import functools
+
+
+                @functools.lru_cache(maxsize=None)
+                def cached(label):
+                    def run(ctx):
+                        print(label)
+                        return label
+
+                    return {use}
+                """,
+        })
+        assert len(found) == 1, use
+        assert "io" in found[0].message
+
+
 # -- effects.assignment-purity ----------------------------------------------
 
 # The PR-4 regression class: an _assignment_pure atom whose _evaluate

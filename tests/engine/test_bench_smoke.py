@@ -187,6 +187,13 @@ def test_match_spans_cache_is_gated():
     assert _match_spans_cached.cache_info().maxsize == 4096
 
 
+def test_plan_cache_is_gated():
+    from repro.fc.sweep import compiled_plan
+
+    assert LRU_GATES["fc.sweep.compiled_plan"] == 1
+    assert compiled_plan.cache_info().maxsize == 256
+
+
 def test_match_spans_zero_hits_passes_but_eviction_fails():
     snapshot = _lru_snapshot(hits=1, misses=10, currsize=10)
     spans = snapshot["spanners.regex_formulas.match_spans"]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fc.semantics import evaluate_naive, models
 from repro.fc.structures import word_structure
-from repro.fc.sweep import LanguageSweep, _Ctx
+from repro.fc.sweep import SweepProgram, _Compiler, _Ctx
 from repro.fc.syntax import (
     And,
     Concat,
@@ -30,6 +30,7 @@ from repro.fc.syntax import (
     free_variables,
 )
 from repro.kernel.bitset import iter_ids
+from repro.kernel.sweep import SweepFamily
 
 VARS = [Var("v0"), Var("v1"), Var("v2")]
 TERMS = VARS + [Const("a"), Const("b"), EPSILON]
@@ -74,16 +75,18 @@ def sweep_pool(word, var, formula, target=True, assignment=None):
     {a, b}, as a set of factors; ``None`` when the scan is unconstrained.
     ``assignment`` gives the other variables' slots their values.
     """
-    sweep = LanguageSweep("ab")
-    program = sweep.compile((Exists if target else Forall)(var, formula))
-    if program.root.pool is None:
+    compiler = _Compiler("ab")
+    plan = compiler.plan((Exists if target else Forall)(var, formula))
+    # The quantifier's pool, compiled again on the plan's slots.
+    pool = compiler._pool(formula, var, target, frozenset())
+    if pool is None:
         return None
-    family = sweep.family
+    family = SweepFamily(("a", "b"))
     table = family.table(word)
-    ctx = _Ctx(table, program._n_slots, program._quant_count, None)
+    ctx = _Ctx(SweepProgram(plan, family), table)
     for variable, value in (assignment or {}).items():
-        ctx.env[program._slot_of[variable]] = family.intern(value)
-    mask = program._pool_eval(program.root.pool, ctx) & table.mask
+        ctx.env[compiler.slot_of[variable]] = family.intern(value)
+    mask = pool(ctx) & table.mask
     return {family.strings[gid] for gid in iter_ids(mask)}
 
 

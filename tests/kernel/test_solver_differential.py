@@ -140,6 +140,33 @@ def test_merged_response_order_matches_keyed_sort():
                 )
 
 
+def test_cached_response_orders_share_their_ids():
+    # Dense orders are cached as slices of one shared id tuple per side:
+    # the same sequence as the lazy generator over a range, and one int
+    # object per id across every cached order (ids above 256 included).
+    rng = random.Random(7)
+    word_a = "".join(rng.choice("ab") for _ in range(30))
+    word_b = "".join(rng.choice("ab") for _ in range(30))
+    structure_a, structure_b = _pair(word_a, word_b)
+    core = GameSolver(structure_a, structure_b)._core
+    assert core._n_b > 256
+    runs = core._length_runs(core.table_b)
+    shared: dict = {}
+    for element in range(core._n_a + 1):
+        cached = core._responses("A", element)
+        assert isinstance(cached, tuple)
+        lazy = core._merged_order(
+            core._mirror_ab[element],
+            core.table_a.lengths[element],
+            runs,
+            range(core._n_b + 1),
+            element == 0,
+        )
+        assert list(cached) == list(lazy)
+        for response in cached:
+            assert shared.setdefault(response, response) is response
+
+
 def test_winning_response_requires_a_round():
     structure_a, structure_b = _pair("ab", "ba")
     solver = GameSolver(structure_a, structure_b)

@@ -41,6 +41,25 @@ class TestStats:
             store_runtime.deactivate(previous)
         assert result["store"]["backend"] == "memory"
 
+    def test_reports_solver_and_lru_sections(self, service):
+        # The whole registry: a client sees the FC plan cache serve a
+        # repeated membership request.
+        text = "E x: E y: (x = y.y)"
+        ask(service, op="membership", word="abab", text=text, alphabet="ab")
+        before = ask(service, op="stats")
+        for _ in range(2):
+            ask(service, op="membership", word="abab", text=text, alphabet="ab")
+        after = ask(service, op="stats")
+        assert set(after) == {"store", "counters", "solver", "lru"}
+        assert "sweep_bitset_ops" in after["solver"]
+        plan_cache = "fc.sweep.compiled_plan"
+        assert after["lru"][plan_cache]["hits"] == (
+            before["lru"][plan_cache]["hits"] + 2
+        )
+        assert after["lru"][plan_cache]["misses"] == (
+            before["lru"][plan_cache]["misses"]
+        )
+
 
 class TestMembership:
     def test_named_paper_formula(self, service):
