@@ -24,7 +24,9 @@ the shared effect analysis (:mod:`repro.analysis.effects`), the
   *shared classes*: the configured server/service singletons, closed
   over field-annotation types, subclasses, and classes returned by
   lru_cached thread-reachable factories (an lru cache is process-global
-  state, so the objects it hands out are shared across handler threads);
+  state, so the objects it hands out are shared across handler threads).
+  A field is filed under the base-most class declaring it, so it is
+  shared when that class or any subclass of it is;
 * **lock regions** — ``with <lock>:`` scopes over lock objects
   (module-level / class-level / ``self`` fields built by
   ``threading.Lock`` and friends, plus *accessor functions* that return
@@ -180,8 +182,8 @@ class ConcurrencyAnalysis:
         self._index_accessors()
         self._build_facts()
 
-        self.thread_parents = self._reach(self._thread_roots())
-        self.fork_parents = self._reach(self._fork_roots())
+        self.thread_parents = self.analysis.reach(self._thread_roots())
+        self.fork_parents = self.analysis.reach(self._fork_roots())
         self.thread_reachable = set(self.thread_parents)
         self.fork_reachable = set(self.fork_parents)
         self.shared_classes = self._shared_classes()
@@ -638,29 +640,6 @@ class ConcurrencyAnalysis:
             if root in self.graph.functions
         ]
 
-    def _reach(self, roots: list[str]) -> dict[str, str | None]:
-        parents: dict[str, str | None] = {}
-        queue = [root for root in roots if root in self.graph.functions]
-        for root in queue:
-            parents.setdefault(root, None)
-        while queue:
-            current = queue.pop(0)
-            for site in self.graph.scans[current].calls:
-                for callee, _ in self.analysis._callee_summary(site):
-                    if callee not in parents:
-                        parents[callee] = current
-                        queue.append(callee)
-        return parents
-
-    def chain(self, qualname: str, parents: dict[str, str | None]) -> str:
-        steps: list[str] = []
-        step: str | None = qualname
-        while step is not None:
-            steps.append(self.analysis._short(step))
-            step = parents.get(step)
-        steps.reverse()
-        return " → ".join(steps)
-
     # -- sharing -----------------------------------------------------------
 
     def _shared_classes(self) -> set[str]:
@@ -701,7 +680,10 @@ class ConcurrencyAnalysis:
             return True
         if location.startswith("field:"):
             cls, _, _attr = location[len("field:"):].rpartition(".")
-            return cls in self.shared_classes
+            # Fields file under their base-most declaring class
+            # (owner_class), so the write may land on any subclass.
+            owners = {cls} | self.codebase.subclasses(cls)
+            return not self.shared_classes.isdisjoint(owners)
         return False
 
     def describe(self, location: str) -> str:
@@ -913,7 +895,7 @@ class SharedStateRaceChecker(Checker):
                     f"unsynchronized write to thread-shared "
                     f"{conc.describe(mutation.location)} in {info.name}() "
                     f"({mutation.detail}); reachable via "
-                    f"{conc.chain(qualname, conc.thread_parents)}",
+                    f"{conc.analysis.chain(qualname, conc.thread_parents)}",
                     hint=(
                         "guard the write with a lock (with <lock>: …), "
                         "aggregate per-thread and merge under one, or — "
@@ -1061,7 +1043,7 @@ class ForkSafetyChecker(Checker):
                     f"fork-unsafe resource {conc.describe(use.binding)} "
                     f"(built by {ctor}) is used in fork-reachable "
                     f"{info.name}() without a per-pid guard; reachable "
-                    f"via {conc.chain(qualname, conc.fork_parents)}",
+                    f"via {conc.analysis.chain(qualname, conc.fork_parents)}",
                     hint=(
                         "a forked worker inherits the parent's handle "
                         "(a held lock stays held forever; sockets and "

@@ -414,17 +414,7 @@ class WorkerIsolationChecker(Checker):
             return
         analysis = analysis_for(codebase, config)
         graph = analysis.graph
-        parents: dict[str, str | None] = {}
-        queue = [root for root in roots if root in graph.functions]
-        for root in queue:
-            parents.setdefault(root, None)
-        while queue:
-            current = queue.pop(0)
-            for site in graph.scans[current].calls:
-                for callee, _summary in analysis._callee_summary(site):
-                    if callee not in parents:
-                        parents[callee] = current
-                        queue.append(callee)
+        parents = analysis.reach(roots)
         counters = set(getattr(config, "counter_modules", ()))
         stores = set(getattr(config, "store_modules", ()))
         for qualname in sorted(parents):
@@ -464,19 +454,13 @@ class WorkerIsolationChecker(Checker):
             line, detail = seeds.get(
                 "mutates-global", (info.line, "declared mutates-global")
             )
-            chain: list[str] = []
-            step: str | None = qualname
-            while step is not None:
-                chain.append(analysis._short(step))
-                step = parents.get(step)
-            chain.reverse()
             yield self.finding(
                 codebase,
                 codebase.modules[info.module],
                 line,
                 f"task-reachable function {info.name}() assigns "
                 f"module-level state ({detail}); reached via "
-                f"{' → '.join(chain)}",
+                f"{analysis.chain(qualname, parents)}",
                 hint=(
                     "forked workers throw this state away (or race on "
                     "it); keep task closures stateless, or route effort "

@@ -298,6 +298,33 @@ class EffectAnalysis:
             return out
         return []
 
+    def reach(self, roots: list[str]) -> dict[str, str | None]:
+        """Breadth-first reachability over resolved call edges: each
+        function reached from ``roots`` → the caller that first reached
+        it (``None`` for a root).  :meth:`chain` reads a witness off it."""
+        parents: dict[str, str | None] = {}
+        queue = [root for root in roots if root in self.graph.functions]
+        for root in queue:
+            parents.setdefault(root, None)
+        while queue:
+            current = queue.pop(0)
+            for site in self.graph.scans[current].calls:
+                for callee, _ in self._callee_summary(site):
+                    if callee not in parents:
+                        parents[callee] = current
+                        queue.append(callee)
+        return parents
+
+    def chain(self, qualname: str, parents: dict[str, str | None]) -> str:
+        """The call chain ``root → … → qualname`` in a :meth:`reach` map."""
+        steps: list[str] = []
+        step: str | None = qualname
+        while step is not None:
+            steps.append(self._short(step))
+            step = parents.get(step)
+        steps.reverse()
+        return " → ".join(steps)
+
     def _solve(self) -> None:
         order = sorted(self.graph.scans)
         for qualname in order:

@@ -419,7 +419,6 @@ class LintConfig:
     # effects.memo-key-completeness (family-wide caches).
     memo_modules: tuple[str, ...] = (
         "repro.fc.sweep",
-        "repro.foeq.compiled",
         "repro.kernel.sweep",
     )
     # Explicit worker-isolation roots (dotted ``pkg.mod:fn`` paths); when

@@ -1,30 +1,37 @@
-"""Compiled FO[EQ] evaluation: interval-id atoms + projection caches.
+"""Compiled FO[EQ] evaluation on the FC plan compiler's closures.
 
-:func:`repro.foeq.semantics.p_models` re-interprets the AST per call and
-slices O(n) characters per ``EQ`` atom; sweeps like ``p_language_slice``
-and E20's agreement loop evaluate the *same* sentence (φ_square) on
-every word of a family.  This module compiles a formula once into a
-plan tree (quantifier-free subformula costs, flattened ∧/∨ chains
-evaluated cheapest-first — sound since evaluation is total) and
-evaluates it against per-word state:
+:func:`repro.foeq.semantics.p_models` runs here, and sweeps such as E20's
+agreement loop evaluate one sentence (φ_square) on every word of a
+family.  :func:`position_program` compiles a formula once per process —
+an ``lru_cache`` registered in :mod:`repro.metrics`; FO[EQ] ASTs are
+frozen dataclasses, so a ``phi_square()`` rebuilt in a loop hits — into
+an immutable :class:`PositionProgram`, one closure per node.
 
-* a dense interval-id table (``fid[i][j]`` = id of ``w[i..j]``), so the
-  quaternary EQ atom is two lookups and an int compare;
-* one projection cache per quantifier node, keyed on the positions of
-  the node's free variables — the same sideways sharing as the FC
-  quantifier caches of :class:`repro.fc.sweep.SweepProgram`,
-  transplanted to the position side.
+Connectives and quantifiers are :mod:`repro.fc.sweep`'s factories:
+flattened ∧/∨ chains run cheapest first (sound since evaluation is
+total), and each quantifier caches its verdict per word on the positions
+of its free variables.  FO[EQ] keeps only its own parts:
 
-Compiled programs are shared process-wide per formula (FO[EQ] ASTs are
-frozen dataclasses, so structural equality keys the cache) — callers
-that rebuild ``phi_square()`` inside a loop still compile once.
+* its three atoms — ``x < y`` and ``P_a(x)`` read the environment and the
+  word, ``EQ`` compares two entries of the word's interval-id table
+  (:func:`_interval_ids`, which the position-game solver shares);
+* its per-word state :class:`_Ctx` (environment, quantifier caches,
+  interval table), built by each :meth:`PositionProgram.evaluate` call,
+  so the shared program is never written.  Quantifiers range over every
+  position: there are no candidate pools.
+
+:func:`~repro.foeq.semantics.p_evaluate` stays the reference interpreter
+that ``tests/foeq/test_games_differential.py`` checks this against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from repro import metrics
+from repro.fc.sweep import _and, _cached_quantifier, _implies, _not, _or, _search
 from repro.foeq.syntax import (
     FactorEq,
     Less,
@@ -37,116 +44,172 @@ from repro.foeq.syntax import (
     POr,
     PVar,
     SymbolAt,
-    p_free_variables,
 )
 
 __all__ = ["PositionProgram", "position_program"]
 
-_LESS, _SYMAT, _EQ, _NOT, _AND, _OR, _IMPLIES, _QUANT = range(8)
 
-#: Per-program bound on cached word states.  Each state holds an O(n²)
-#: interval table plus projection caches, and programs live process-wide
-#: (``position_program``'s lru_cache), so an unbounded dict would grow
-#: with every word a sweep touches.  256 comfortably covers the repeated
-#: words of the E20 agreement pairs and game loops while keeping big
-#: ``p_language_slice`` grids at a constant footprint (grid words are
-#: each evaluated once, so eviction costs them nothing).
-_MAX_STATES = 256
-
-
-class _Plan:
-    __slots__ = ("kind", "vars", "symbol", "children", "cost", "want", "free", "cache_index")
-
-    def __init__(self, kind: int) -> None:
-        self.kind = kind
-        self.vars: tuple = ()
-        self.symbol = ""
-        self.children: tuple = ()
-        self.cost = 1
-        self.want = True
-        self.free: tuple = ()
-        self.cache_index = -1
+# repro-lint: domain[returns=map[plain, map[plain, interval]], pool=map[plain, interval]] table[i][j] — position-indexed, interval-valued; pool maps factor text → interval id
+def _interval_ids(word: str, pool: dict) -> tuple[tuple[int, ...], ...]:
+    """``table[i][j]`` = dense id of ``word[i..j]`` (1-based, closed);
+    ids are shared through ``pool`` so cross-word factor equality is
+    integer equality."""
+    n = len(word)
+    table = []
+    for i in range(n + 1):
+        row = [-1] * (n + 1)  # repro-lint: domain[map[plain, interval]] -1 = "no interval" sentinel for j < i
+        if i >= 1:
+            for j in range(i, n + 1):
+                text = word[i - 1 : j]
+                fid = pool.get(text)
+                if fid is None:
+                    fid = len(pool)  # repro-lint: domain[interval] the interval-id mint — dense per pool, never compared across pools
+                    pool[text] = fid
+                row[j] = fid
+        table.append(tuple(row))
+    return tuple(table)
 
 
-class _WordState:
-    __slots__ = ("word", "n", "fid", "caches")
-
-    def __init__(self, word: str, n_caches: int) -> None:
-        self.word = word
-        self.n = len(word)
-        n = self.n
-        fid = []
-        pool: dict = {}  # repro-lint: domain[map[plain, interval]] factor text → dense interval id
-        for i in range(n + 1):
-            row = [-1] * (n + 1)  # repro-lint: domain[map[plain, interval]] -1 = "no interval" sentinel for j < i
-            if i >= 1:
-                for j in range(i, n + 1):
-                    text = word[i - 1 : j]
-                    value = pool.get(text)
-                    if value is None:
-                        value = len(pool)  # repro-lint: domain[interval] the interval-id mint — dense per word, never compared across words
-                        pool[text] = value
-                    row[j] = value
-            fid.append(tuple(row))
-        self.fid = tuple(fid)  # repro-lint: domain[map[plain, map[plain, interval]]] fid[i][j] — position-indexed, interval-valued
-        self.caches = [dict() for _ in range(n_caches)]
-
-
+@dataclass(frozen=True, eq=False)
 class PositionProgram:
-    """One FO[EQ] formula compiled for repeated evaluation."""
+    """One FO[EQ] formula compiled for repeated evaluation.
 
-    def __init__(self, formula: PFormula) -> None:
-        self._quant_count = 0
-        self.root = self._compile(formula)
-        self._states: dict[str, _WordState] = {}
+    Immutable, so :func:`position_program` shares it process-wide; each
+    :meth:`evaluate` call builds its own per-word state.
+    """
 
-    def _compile(self, node: PFormula) -> _Plan:
+    #: the formula's truth as one closure ``ctx → bool``.
+    root: Callable
+    #: ``(variable, slot)`` for each free variable.
+    free: tuple
+    n_slots: int
+    n_quants: int
+
+    def evaluate(self, word: str, assignment: dict) -> bool:
+        """Truth on ``word`` under ``assignment``, which must map every
+        free variable to a position (it is read, never mutated)."""
+        ctx = _Ctx(self, word)
+        env = ctx.env
+        for var, slot in self.free:
+            env[slot] = assignment[var]
+        return self.root(ctx)
+
+
+class _Ctx:
+    """Per-word evaluation state: what the shared factories read
+    (``env``, ``caches``, :meth:`scan`) plus what the atoms read."""
+
+    __slots__ = ("word", "fid", "env", "caches", "positions")
+
+    def __init__(self, program: PositionProgram, word: str) -> None:
+        self.word = word
+        self.fid = _interval_ids(word, {})
+        #: slot → position of the current (partial) assignment.
+        self.env: list = [None] * program.n_slots
+        #: per-quantifier projection caches (projection → bool).
+        self.caches = [{} for _ in range(program.n_quants)]
+        self.positions = range(1, len(word) + 1)
+
+    def scan(self, pool) -> range:
+        """The positions a quantifier ranges over: all of them (FO[EQ]
+        quantifiers carry no candidate pool, so ``pool`` is ``None``)."""
+        return self.positions
+
+
+# -- atom closures ------------------------------------------------------------
+
+
+def _less(x: int, y: int):
+    def less(ctx):
+        env = ctx.env
+        return env[x] < env[y]
+
+    return less
+
+
+def _symbol_at(x: int, symbol: str):
+    def symbol_at(ctx):
+        return ctx.word[ctx.env[x] - 1] == symbol
+
+    return symbol_at
+
+
+def _factor_eq(x1: int, y1: int, x2: int, y2: int):
+    def factor_eq(ctx):
+        env = ctx.env
+        start1, end1, start2, end2 = env[x1], env[y1], env[x2], env[y2]
+        # A malformed interval is no factor; two of them would otherwise
+        # compare equal through the table's -1 sentinel.
+        if start1 > end1 or start2 > end2:
+            return False
+        fid = ctx.fid
+        return fid[start1][end1] == fid[start2][end2]
+
+    return factor_eq
+
+
+class _Compiler:
+    """Throwaway builder for one :class:`PositionProgram`: owns the slot
+    map and quantifier count that compilation grows."""
+
+    def __init__(self) -> None:
+        #: PVar → environment-slot index.  Rebinding a variable reuses
+        #: its slot; the quantifier's save/restore gives shadowing the
+        #: same semantics the assignment dict has in ``p_evaluate``.
+        self.slot_of: dict = {}
+        self.n_quants = 0
+
+    def program(self, formula: PFormula) -> PositionProgram:
+        root, fv, _cost = self._compile(formula)
+        free = tuple(
+            (var, self._slot(var)) for var in sorted(fv, key=lambda v: v.name)
+        )
+        return PositionProgram(root, free, len(self.slot_of), self.n_quants)
+
+    def _slot(self, var: PVar) -> int:
+        return self.slot_of.setdefault(var, len(self.slot_of))
+
+    def _compile(self, node: PFormula):
+        """``(closure, free variables, cost)`` of one formula node."""
         if isinstance(node, Less):
-            plan = _Plan(_LESS)
-            plan.vars = (node.x, node.y)
-            return plan
+            fv = frozenset((node.x, node.y))
+            return _less(self._slot(node.x), self._slot(node.y)), fv, 1
         if isinstance(node, SymbolAt):
-            plan = _Plan(_SYMAT)
-            plan.vars = (node.x,)
-            plan.symbol = node.symbol
-            return plan
+            fv = frozenset((node.x,))
+            return _symbol_at(self._slot(node.x), node.symbol), fv, 1
         if isinstance(node, FactorEq):
-            plan = _Plan(_EQ)
-            plan.vars = (node.x1, node.y1, node.x2, node.y2)
-            plan.cost = 2
-            return plan
+            terms = (node.x1, node.y1, node.x2, node.y2)
+            slots = tuple(self._slot(var) for var in terms)
+            return _factor_eq(*slots), frozenset(terms), 2
         if isinstance(node, PNot):
-            plan = _Plan(_NOT)
-            child = self._compile(node.inner)
-            plan.children = (child,)
-            plan.cost = child.cost
-            return plan
+            inner, fv, cost = self._compile(node.inner)
+            return _not(inner), fv, cost
         if isinstance(node, (PAnd, POr)):
-            plan = _Plan(_AND if isinstance(node, PAnd) else _OR)
-            flat: list[_Plan] = []
+            flat: list = []
             self._flatten(node, type(node), flat)
-            flat.sort(key=lambda p: p.cost)
-            plan.children = tuple(flat)
-            plan.cost = sum(p.cost for p in flat)
-            return plan
+            # Cheapest conjunct/disjunct first: evaluation is total, so
+            # short-circuit order cannot change the boolean result, and
+            # stable sort keeps the source order among equals.
+            flat.sort(key=lambda entry: entry[2])
+            children = tuple(entry[0] for entry in flat)
+            fv = frozenset().union(*(entry[1] for entry in flat))
+            cost = sum(entry[2] for entry in flat)
+            if isinstance(node, PAnd):
+                return _and(children), fv, cost
+            return _or(children), fv, cost
         if isinstance(node, PImplies):
-            plan = _Plan(_IMPLIES)
-            plan.children = (self._compile(node.left), self._compile(node.right))
-            plan.cost = plan.children[0].cost + plan.children[1].cost
-            return plan
+            left, left_fv, left_cost = self._compile(node.left)
+            right, right_fv, right_cost = self._compile(node.right)
+            return _implies(left, right), left_fv | right_fv, left_cost + right_cost
         if isinstance(node, (PExists, PForall)):
-            plan = _Plan(_QUANT)
-            inner = self._compile(node.inner)
-            plan.children = (inner,)
-            plan.vars = (node.var,)
-            plan.want = isinstance(node, PExists)
-            plan.free = tuple(
-                sorted(p_free_variables(node), key=lambda v: v.name)
-            )
-            plan.cache_index = self._quant_count
-            self._quant_count += 1
-            plan.cost = 5 + 10 * inner.cost
-            return plan
+            index = self.n_quants
+            self.n_quants += 1
+            inner, inner_fv, inner_cost = self._compile(node.inner)
+            fv = inner_fv - {node.var}
+            free = tuple(self._slot(v) for v in sorted(fv, key=lambda v: v.name))
+            want = isinstance(node, PExists)
+            search = _search(want, self._slot(node.var), None, inner)
+            return _cached_quantifier(index, free, search), fv, 5 + 10 * inner_cost
         raise TypeError(f"unknown FO[EQ] node: {node!r}")
 
     def _flatten(self, node: PFormula, op: type, out: list) -> None:
@@ -156,75 +219,11 @@ class PositionProgram:
         else:
             out.append(self._compile(node))
 
-    def evaluate(self, word: str, assignment: dict) -> bool:
-        """Truth under ``assignment`` (which must cover the free vars;
-        it is read, never mutated)."""
-        # LRU over insertion-ordered dict: pop + reinsert moves the word
-        # to the back; evict the front when full (deterministic — the
-        # order depends only on the evaluation sequence).
-        states = self._states
-        state = states.pop(word, None)
-        if state is None:
-            state = _WordState(word, self._quant_count)
-            if len(states) >= _MAX_STATES:
-                del states[next(iter(states))]
-        states[word] = state
-        return self._eval(self.root, state, dict(assignment))
-
-    def _eval(self, plan: _Plan, state: _WordState, sigma: dict) -> bool:
-        kind = plan.kind
-        if kind == _LESS:
-            return sigma[plan.vars[0]] < sigma[plan.vars[1]]
-        if kind == _SYMAT:
-            return state.word[sigma[plan.vars[0]] - 1] == plan.symbol
-        if kind == _EQ:
-            x1, y1, x2, y2 = (sigma[v] for v in plan.vars)
-            if x1 > y1 or x2 > y2:
-                return False
-            return state.fid[x1][y1] == state.fid[x2][y2]
-        if kind == _AND:
-            for child in plan.children:
-                if not self._eval(child, state, sigma):
-                    return False
-            return True
-        if kind == _OR:
-            for child in plan.children:
-                if self._eval(child, state, sigma):
-                    return True
-            return False
-        if kind == _NOT:
-            return not self._eval(plan.children[0], state, sigma)
-        if kind == _IMPLIES:
-            return (not self._eval(plan.children[0], state, sigma)) or (
-                self._eval(plan.children[1], state, sigma)
-            )
-        # _QUANT
-        variable = plan.vars[0]
-        had = variable in sigma
-        shadowed = sigma.pop(variable, None)
-        cache = state.caches[plan.cache_index]
-        projection = tuple(sigma[v] for v in plan.free)
-        result = cache.get(projection)
-        if result is None:
-            want = plan.want
-            inner = plan.children[0]
-            result = not want
-            for position in range(1, state.n + 1):
-                sigma[variable] = position
-                if self._eval(inner, state, sigma) == want:
-                    result = want
-                    break
-            sigma.pop(variable, None)
-            cache[projection] = result
-        if had:
-            sigma[variable] = shadowed
-        return result
-
 
 @lru_cache(maxsize=256)
 def position_program(formula: PFormula) -> PositionProgram:
     """The compiled program for ``formula`` (shared process-wide)."""
-    return PositionProgram(formula)
+    return _Compiler().program(formula)
 
 
 metrics.register("foeq.position_program", position_program)

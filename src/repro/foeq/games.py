@@ -10,7 +10,8 @@ Since the interned-factor kernel landed this solver follows its playbook
 (:mod:`repro.kernel.efcore`) on the position side:
 
 * **Interned intervals.**  Every factor ``w[i..j]`` / ``v[i..j]`` gets a
-  dense id from one shared pool at construction, so the EQ condition
+  dense id from one shared pool at construction (the builder the
+  compiled evaluator uses, :mod:`repro.foeq.compiled`), so the EQ condition
   compares ints instead of slicing strings (the old solver sliced
   O(n) characters per ``factor_at``, O(m⁴) times per consistency check).
 * **Incremental consistency.**  Extending a consistent position by one
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import metrics
+from repro.foeq.compiled import _interval_ids
 from repro.foeq.naive import position_partial_iso
 
 __all__ = [
@@ -48,28 +50,6 @@ __all__ = [
     "folt_equiv_k",
     "folt_distinguishing_rank",
 ]
-
-
-def _interval_ids(
-    word: str, pool: dict
-) -> tuple[tuple[int, ...], ...]:
-    """``table[i][j]`` = dense id of ``word[i..j]`` (1-based, closed);
-    ids are shared through ``pool`` so cross-word factor equality is
-    integer equality."""
-    n = len(word)
-    table = []
-    for i in range(n + 1):
-        row = [-1] * (n + 1)
-        if i >= 1:
-            for j in range(i, n + 1):
-                text = word[i - 1 : j]
-                fid = pool.get(text)
-                if fid is None:
-                    fid = len(pool)
-                    pool[text] = fid
-                row[j] = fid
-        table.append(tuple(row))
-    return tuple(table)
 
 
 @dataclass

@@ -100,9 +100,9 @@ def p_models(
             raise ValueError(
                 f"{variable!r} ↦ {position} is not a position of {word!r}"
             )
-    # Kernel fast path: interval-id atoms + per-quantifier projection
-    # caches, with programs shared process-wide per formula (see
-    # repro.foeq.compiled).  p_evaluate above remains the reference
+    # Fast path: one immutable program of closures per formula, shared
+    # process-wide, with per-call interval ids and quantifier caches
+    # (repro.foeq.compiled).  p_evaluate above remains the reference
     # semantics the compiled path is differential-tested against.
     return position_program(formula).evaluate(word, assignment)
 

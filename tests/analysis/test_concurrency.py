@@ -200,6 +200,58 @@ def test_lru_factory_results_are_thread_shared(tmp_path):
     ) == []
 
 
+def test_base_class_field_written_on_a_shared_subclass_is_a_race(tmp_path):
+    # The field files under the base class that declares it, but the
+    # instance written is the lru-cached subclass's (the shape of
+    # PartialIsoCheck._bump on a cached KernelSolver).
+    files = {
+        "fixpkg/high/daemon.py": """\
+            import functools
+
+
+            class Check:
+                def __init__(self):
+                    self.counters = {"checks": 0}
+
+                def bump(self):
+                    self.counters["checks"] += 1
+
+
+            class Solver(Check):
+                def solve(self):
+                    self.bump()
+
+
+            @functools.lru_cache(maxsize=None)
+            def solver_for(name: str) -> Solver:
+                return Solver()
+
+
+            class Server:
+                def handle(self):
+                    solver_for("hot").solve()
+            """,
+    }
+    found = findings_of(
+        SharedStateRaceChecker(), tmp_path, files, **DAEMON_ROOTS
+    )
+    assert len(found) == 1
+    assert "Check.counters" in found[0].message
+    assert "Solver.solve" in found[0].message
+    # Without the cache every caller builds its own solver: the same
+    # base-class write is private.
+    private = {
+        "fixpkg/high/daemon.py": files["fixpkg/high/daemon.py"].replace(
+            "@functools.lru_cache(maxsize=None)\n            def solver_for",
+            "def solver_for",
+        ),
+    }
+    assert "lru_cache" not in private["fixpkg/high/daemon.py"]
+    assert findings_of(
+        SharedStateRaceChecker(), tmp_path, private, **DAEMON_ROOTS
+    ) == []
+
+
 def test_writes_through_a_held_shared_object_are_races(tmp_path):
     # A field of the lru-cached plan is shared wherever it is written:
     # through the holder's typed attribute, not only through ``self``.

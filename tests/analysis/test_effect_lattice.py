@@ -49,14 +49,11 @@ PINNED = {
     "repro.fc.sweep._Compiler._flatten": ["mutates-arg:out", "mutates-self"],
     "repro.fc.sweep.compiled_plan": [],
     # foeq/: per-parameter mutation tracking keeps the lru-cached
-    # position_program transitively pure even though its helpers
-    # mutate their accumulator arguments.
+    # position_program transitively pure even though its compiler
+    # mutates its accumulator arguments.
     "repro.foeq.compiled.position_program": [],
-    "repro.foeq.compiled.PositionProgram._flatten": [
+    "repro.foeq.compiled._Compiler._flatten": [
         "mutates-arg:out", "mutates-self",
-    ],
-    "repro.foeq.compiled.PositionProgram._eval": [
-        "mutates-arg:sigma", "mutates-arg:state",
     ],
     "repro.foeq.semantics.p_evaluate": ["mutates-arg:assignment"],
     "repro.foeq.games.PositionGameSolver._wins": [

@@ -4,13 +4,16 @@ The interval-id solver in :mod:`repro.foeq.games` must agree with the
 preserved string-based implementation (:mod:`repro.foeq.naive`) on every
 verdict — full small grids, both signatures (with and without EQ), and
 the E20 witness pairs — and the compiled position evaluator must agree
-with the reference interpreter ``p_evaluate``.
+with the reference interpreter ``p_evaluate``, on the builders' sentences
+and on hypothesis-generated formulas over all nine node classes.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.foeq.builders import phi_has_factor, phi_sorted, phi_square
 from repro.foeq.compiled import position_program
@@ -22,6 +25,20 @@ from repro.foeq.games import (
     folt_equiv_k,
 )
 from repro.foeq.naive import NaivePositionGameSolver, position_partial_iso
+from repro.foeq.semantics import p_evaluate
+from repro.foeq.syntax import (
+    FactorEq,
+    Less,
+    PAnd,
+    PExists,
+    PForall,
+    PImplies,
+    PNot,
+    POr,
+    PVar,
+    SymbolAt,
+    p_free_variables,
+)
 from repro.words.generators import words_up_to
 
 SEED = 20260806
@@ -103,8 +120,6 @@ def test_solver_stats_shape_matches_naive():
 
 
 def test_compiled_evaluator_matches_reference():
-    from repro.foeq.semantics import p_evaluate
-
     for sentence in (phi_square(), phi_sorted(), phi_has_factor("ab")):
         program = position_program(sentence)
         for w in words_up_to("ab", 6):
@@ -114,31 +129,7 @@ def test_compiled_evaluator_matches_reference():
             )
 
 
-def test_compiled_evaluator_state_cache_is_bounded(monkeypatch):
-    # Programs live process-wide (position_program's lru_cache), so the
-    # per-word O(n²) state tables must not accumulate without bound over
-    # large sweeps; eviction is LRU, keeping repeated words resident.
-    # The invariant is the bound, not the word length: a small bound and
-    # short words exercise it in milliseconds.
-    from repro.foeq import compiled
-    from repro.foeq.compiled import PositionProgram
-
-    monkeypatch.setattr(compiled, "_MAX_STATES", 8)
-    program = PositionProgram(phi_square())
-    for word in WORDS4:
-        program.evaluate(word, {})
-    assert len(program._states) <= compiled._MAX_STATES
-    # A word evaluated again is served from (and refreshed in) the cache:
-    # the least recent resident word becomes the most recent one.
-    oldest = next(iter(program._states))
-    program.evaluate(oldest, {})
-    assert next(reversed(program._states)) == oldest
-
-
 def test_compiled_evaluator_open_formulas():
-    from repro.foeq.semantics import p_evaluate
-    from repro.foeq.syntax import FactorEq, PVar
-
     x1, y1, x2, y2 = PVar("x1"), PVar("y1"), PVar("x2"), PVar("y2")
     eq = FactorEq(x1, y1, x2, y2)
     program = position_program(eq)
@@ -146,3 +137,63 @@ def test_compiled_evaluator_open_formulas():
     for values in itertools.product(range(1, 5), repeat=4):
         sigma = dict(zip((x1, y1, x2, y2), values))
         assert program.evaluate(word, sigma) == p_evaluate(word, eq, dict(sigma))
+
+
+X, Y, Z = PVar("x"), PVar("y"), PVar("z")
+
+
+def p_atoms():
+    var = st.sampled_from((X, Y, Z))
+    return st.one_of(
+        st.tuples(var, var).map(lambda t: Less(*t)),
+        st.tuples(st.sampled_from("ab"), var).map(lambda t: SymbolAt(*t)),
+        st.tuples(var, var, var, var).map(lambda t: FactorEq(*t)),
+    )
+
+
+def p_formulas():
+    def extend(children):
+        var = st.sampled_from((X, Y, Z))
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            children.map(PNot),
+            pairs.map(lambda t: PAnd(*t)),
+            pairs.map(lambda t: POr(*t)),
+            pairs.map(lambda t: PImplies(*t)),
+            st.tuples(var, children).map(lambda t: PExists(*t)),
+            st.tuples(var, children).map(lambda t: PForall(*t)),
+        )
+
+    return st.recursive(p_atoms(), extend, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_formulas())
+# x free outside and re-bound twice: under ∃x, and under ∀x inside it.
+@example(
+    SymbolAt("a", X)
+    & PExists(X, Less(Y, X) & PForall(X, PImplies(Less(X, Y), SymbolAt("b", X))))
+)
+# Both intervals malformed under some assignment: never a factor.
+@example(FactorEq(Y, X, Y, X) | PExists(Z, FactorEq(Z, X, Y, Z)))
+def test_compiled_evaluator_matches_reference_on_random_formulas(phi):
+    program = position_program(phi)
+    free = sorted(p_free_variables(phi), key=lambda v: v.name)
+    # Every {a,b} word of length <= 4 (ε included) under every
+    # assignment of the free variables to its positions.
+    for w in WORDS4:
+        for values in itertools.product(range(1, len(w) + 1), repeat=len(free)):
+            sigma = dict(zip(free, values))
+            assert program.evaluate(w, sigma) == p_evaluate(w, phi, dict(sigma)), (
+                phi,
+                w,
+                sigma,
+            )
+
+
+def test_position_program_is_one_frozen_object_per_formula():
+    program = position_program(phi_square())
+    # A rebuilt formula is structurally equal, so the cache hits.
+    assert position_program(phi_square()) is program
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.n_slots = 0
