@@ -20,6 +20,10 @@ gated like any other so lane duplication cannot grow unnoticed.
 
 The gated counters are machine-independent proxies for solver work —
 ``positions_explored`` (EF kernel transposition misses),
+``consistency_checks`` (the kernel's pairwise Definition 3.1 checks; the
+last round is decided by atomic-type sets and makes none, so a change
+that sends it back through the pairwise check fails here — the smoke
+subset includes ``prim/equiv/anbn-k2``),
 ``foeq_positions_explored`` (the FO[EQ] position-game solver),
 the sweep-layer effort counters (``sweep_words_interned``,
 ``sweep_tables_extended`` vs ``sweep_tables_rebuilt`` — a rebuild where
@@ -69,6 +73,7 @@ SMOKE_SHARDS = 2
 #: Solver-delta counters the gate watches, per task.
 GATED_COUNTERS = (
     "positions_explored",
+    "consistency_checks",
     "foeq_positions_explored",
     "sweep_words_interned",
     "sweep_tables_extended",

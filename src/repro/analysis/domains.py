@@ -45,10 +45,14 @@ element types and comprehensions, on top of the PR-5 call graph
 
 Domains enter the flow through ``# repro-lint: domain[...]`` pins:
 
-* on (or one line above) a ``def`` — ``domain[returns=<spec>,
-  <param>=<spec>, ...] reason`` declares a producer or translator;
-* on an assignment — ``domain[<spec>] reason`` declares the bound
-  local, ``self`` attribute or module-level binding.
+* on (or on a comment line of its own just above) a ``def`` —
+  ``domain[returns=<spec>, <param>=<spec>, ...] reason`` declares a
+  producer or translator;
+* on (or on a comment line of its own just above) an assignment —
+  ``domain[<spec>] reason`` declares the bound local, ``self``
+  attribute or module-level binding.
+
+A pin trailing a code line applies to that line only.
 
 ``kernel/bitset.py`` additionally grows :func:`declare_universe`, the
 one trusted mint for ``bitset-universe:<role>`` masks; the analysis
@@ -895,14 +899,15 @@ class DomainAnalysis:
         return relevant
 
     def _pin_at(self, module: SourceModule, lineno: int) -> str | None:
-        """Raw pin body on ``lineno`` or the line above, if present."""
+        """Raw pin body on ``lineno``, or on the line above when that line
+        is a comment of its own (a trailing pin belongs to its own line)."""
         lines = module.lines
-        for candidate in (lineno, lineno - 1):
-            if 1 <= candidate <= len(lines):
-                body = _pin_entries(lines[candidate - 1])
-                if body is not None:
-                    return body
-        return None
+        body = _pin_entries(lines[lineno - 1])
+        if body is None and lineno >= 2:
+            above = lines[lineno - 2]
+            if above.lstrip().startswith("#"):
+                body = _pin_entries(above)
+        return body
 
     def local_pin(self, module: SourceModule, lineno: int) -> str | None:
         return self._local_pins.get((module.name, lineno))

@@ -105,7 +105,11 @@ class ExistentialGameSolver:
             return cached
         taken = {p[0] for p in pairs}
         result = True
-        for element in self.structure_a.universe_factors:
+        # (len, text) order, like the kernel: the first losing move ends
+        # the loop, so frozenset order would make effort follow the hash seed.
+        for element in sorted(
+            self.structure_a.universe_factors, key=lambda f: (len(f), f)
+        ):
             if element in taken:
                 continue
             if self._response(rounds, pairs, element) is None:

@@ -6,7 +6,7 @@
 search, operating purely on :class:`~repro.kernel.interning.InternTable`
 ids.  It reproduces the naive solver's observable behaviour exactly —
 same spoiler-move enumeration order, same duplicator-response
-preference order, same results — while replacing its three hot costs:
+preference order, same results — while replacing its hot costs:
 
 * **Consistency** is incremental: a position is grown one pair at a
   time, and only the conditions involving the newly added pair are
@@ -16,7 +16,18 @@ preference order, same results — while replacing its three hot costs:
   added, so the incremental check accepts the same positions as the
   naive ``sorted(...) + extend_with_constants + find_violation`` rebuild
   — condition 1 (constants mirrored) is subsumed by equality mirroring
-  because the constant pairs are always in the base item list.
+  because the constant pairs are always in the base item list.  This
+  pairwise check serves rounds ≥ 2, position validation, strategy
+  extraction, plays and pebble games.
+* **The last round** is decided by atomic types (the one-round case of
+  the EF theorem for FC): with one round left, Duplicator wins iff both
+  sides realise the same set of atomic types over the position.  A
+  type (:meth:`PartialIsoCheck.atomic_types`) is exactly the tuple of
+  facts the pairwise check compares, so two ids have equal types iff
+  that check accepts the pair.  A type costs O(m) ``cat`` probes, one
+  pairwise check O(m²), and a move may try many candidate responses.
+  Verdicts, memo keys and ``positions_explored`` are exactly those of
+  the move-by-move search.
 * **Positions** are sorted tuples of ``(a_id, b_id)`` int pairs, and the
   transposition table is keyed on a *canonical form* that quotients out
   automorphic pairs: if σ_A, σ_B are automorphisms of the structures,
@@ -49,13 +60,14 @@ __all__ = ["KernelSolver", "PartialIsoCheck"]
 _MAX_SYM_PRODUCT = 512
 
 #: Universe size above which the solver switches from dense to sparse
-#: internals: consistency probes use single ``cat`` entries instead of
-#: materialised rows, and response orders are generated lazily instead
-#: of cached as tuples.  Deep searches only ever happen on small
-#: universes (the game tree is exponential in k), so the dense fast
-#: path keeps them; above the limit queries are shallow (0–1 rounds on
-#: very long words, e.g. the Fooling-Lemma checks) and O(n) per-element
-#: row/cache costs would dominate the entire query.
+#: internals: consistency and atomic-type probes use single ``cat``
+#: entries instead of materialised rows, and response orders are
+#: generated lazily instead of cached as tuples.  Deep searches only
+#: ever happen on small universes (the game tree is exponential in k),
+#: so the dense fast path keeps them; above the limit queries are
+#: shallow (0–1 rounds on very long words, e.g. the Fooling-Lemma
+#: checks) and O(n) per-element row/cache costs would dominate the
+#: entire query.
 _DENSE_LIMIT = 1024
 
 Position = "tuple[tuple[int, int], ...]"  # sorted, deduplicated id pairs
@@ -174,6 +186,58 @@ class PartialIsoCheck:
         """Does the consistent pair set ``pairs`` stay one with ``(a, b)``?"""
         return self._check_new(self._const_pairs + pairs, a, b)
 
+    def atomic_types(self, table: InternTable, items: list):
+        """Yield the atomic type over ``items`` of every id of ``table``
+        (one of the two sides), in id order, ⊥ included.
+
+        ``items`` is that side's column of a consistent item list: the
+        constant ids, then the side's ids from the position.  A type is
+        exactly what :meth:`_check_new` compares: ``e``'s first item
+        index, every ``(i, j)`` with ``xᵢ·xⱼ = e``, and for ``e·xⱼ``,
+        ``xⱼ·e`` and ``e·e`` the first item index of the product or ``-2``
+        where the product is ``e`` itself (``-1``: no item).  So an id on
+        each side has equal types iff :meth:`_check_new` accepts the pair.
+        Indices are first ones because items repeat (every absent
+        constant of a restriction is ⊥).
+        """
+        cat = table.cat
+        n = table.n_factors
+        # code[id] is id's first item index, else -1; code[n + 1] stays -1
+        # and answers the -1 of an undefined product.
+        code = [-1] * (n + 2)
+        for index in range(len(items) - 1, -1, -1):
+            code[items[index]] = index
+        product: dict = {}
+        for i, left in enumerate(items):
+            for j, right in enumerate(items):
+                value = cat.point(left, right)
+                product[value] = (*product.get(value, ()), (i, j))
+        rows = None if self._sparse else [cat[item] for item in items]
+        point = cat.point
+        for e in range(n + 1):
+            own = code[e]
+            if own < 0:
+                code[e] = -2
+            if rows is None:
+                realised = (
+                    own,
+                    product.get(e),
+                    *[code[point(e, item)] for item in items],
+                    *[code[point(item, e)] for item in items],
+                    code[point(e, e)],
+                )
+            else:
+                row = cat[e]
+                realised = (
+                    own,
+                    product.get(e),
+                    *[code[row[item]] for item in items],
+                    *[code[item_row[e]] for item_row in rows],
+                    code[row[e]],
+                )
+            code[e] = own
+            yield realised
+
 
 class KernelSolver(PartialIsoCheck):
     """Memoised EF-game search over a pair of interned structures."""
@@ -271,17 +335,36 @@ class KernelSolver(PartialIsoCheck):
             self._bump("table_hits")
             return cached
         self._bump("positions_explored")
-        result = True
-        for side, element in self._spoiler_moves(position):
-            if self._response(rounds, position, side, element) is None:
-                result = False
-                break
+        if rounds == 1:
+            result = self._same_types(position)
+        else:
+            result = True
+            for side, element in self._spoiler_moves(position):
+                if self._response(rounds, position, side, element) is None:
+                    result = False
+                    break
         # Grow-only transposition table: the verdict for a key is a pure
         # function of the two universes, so concurrent writers store the
         # same value and dict item assignment is atomic under the GIL.
         # repro-lint: allow[concurrency.shared-state-race] idempotent memo
         self._memo[key] = result
         return result
+
+    def _same_types(self, position: tuple) -> bool:
+        """One round left: do both sides realise the same atomic types?
+
+        A Spoiler move has a consistent response iff the other side
+        realises its type, and an element already taken has its partner
+        realise its type, so Duplicator wins iff the two type sets agree.
+        """
+        items = self._const_pairs + position
+        types_a = set(self.atomic_types(self.table_a, [a for a, _ in items]))
+        types_b = set()
+        for realised in self.atomic_types(self.table_b, [b for _, b in items]):
+            if realised not in types_a:
+                return False
+            types_b.add(realised)
+        return len(types_b) == len(types_a)
 
     def _spoiler_moves(self, position: tuple):
         taken_a = {pair[0] for pair in position}

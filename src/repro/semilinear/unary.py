@@ -52,15 +52,21 @@ def detect_eventual_periodicity(
     cannot be concluded from a finite sample, so callers treat a ``None``
     as evidence of non-semi-linearity at the probed scale, exactly like
     the paper treats the growth of ``2ⁿ``.
+
+    Periods are tried in increasing order.  For one period the least
+    valid threshold is one past the last ``n ≤ bound − period`` with
+    ``membership[n] ≠ membership[n + period]`` (0 if there is none), so
+    a downward scan to that mismatch finds it: O(bound²) in all.
     """
     membership = [n in sample for n in range(bound + 1)]
     for period in range(1, bound // 2 + 1):
-        for threshold in range(0, bound - 2 * period + 1):
-            if all(
-                membership[n] == membership[n + period]
-                for n in range(threshold, bound - period + 1)
-            ):
-                return threshold, period
+        threshold = 0
+        for n in range(bound - period, -1, -1):
+            if membership[n] != membership[n + period]:
+                threshold = n + 1
+                break
+        if threshold <= bound - 2 * period:
+            return threshold, period
     return None
 
 

@@ -131,6 +131,37 @@ def test_attribute_pin_flows_through_self(tmp_path):
     assert analysis.returns["fixpkg.low.base.Table.probe"] == "intern:sweep"
 
 
+def test_trailing_pin_declares_only_its_own_line(tmp_path):
+    # A pin trailing code declares that line; the unpinned line below it
+    # stays plain.  A pin on a comment line of its own declares the line
+    # below.
+    analysis = analysis_of(tmp_path, {
+        "fixpkg/low/base.py": """\
+            class Automaton:
+                start: int  # repro-lint: domain[dfa-state] the start state
+                letters: frozenset
+                # repro-lint: domain[iter[dfa-state]] the accepting states
+                accepting: frozenset
+
+                def build(self):
+                    index = {}  # repro-lint: domain[map[plain, dfa-state]] mint
+                    worklist = []
+                    # repro-lint: domain[dfa-state] the next state
+                    fresh = len(index)
+                    return worklist, fresh
+            """,
+    })
+    assert analysis.attr_domains["fixpkg.low.base.Automaton"] == {
+        "start": "dfa-state",
+        "accepting": "iter[dfa-state]",
+    }
+    module = analysis.codebase.modules["fixpkg.low.base"]
+    assert analysis.local_pin(module, 8) == "map[plain, dfa-state]"
+    assert analysis.local_pin(module, 9) is None
+    assert analysis.local_pin(module, 11) == "dfa-state"
+    assert analysis.pin_count == 4
+
+
 # -- interprocedural inference ----------------------------------------------
 
 

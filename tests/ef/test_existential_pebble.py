@@ -1,5 +1,9 @@
 """Tests for existential EF games and pebble games (conclusion directions)."""
 
+import os
+import subprocess
+import sys
+
 from hypothesis import given, settings, strategies as st
 
 from repro.ef.equivalence import equiv_k
@@ -92,3 +96,39 @@ class TestPebbleGames:
         # A single pebble can never relate two elements, so it only sees
         # constants and unary facts; a^5 vs a^6 survive several rounds.
         assert pebble_equiv("a" * 5, "a" * 6, 1, 3, "a")
+
+
+def test_e22_effort_is_hash_seed_independent(tmp_path):
+    # The existential solver stops at Spoiler's first winning move, so
+    # its move order decides how much work E22 does; that order must not
+    # follow string-hash iteration order.
+    probe = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from repro.engine import ResultCache, run_tasks\n"
+        "from repro.engine.experiments import build_default_registry\n"
+        "report = run_tasks(build_default_registry(), jobs=1, shards=1,\n"
+        "    cache=ResultCache(root=Path(sys.argv[1]), enabled=False),\n"
+        "    only=['E22'])\n"
+        "record = report.record_for('E22')\n"
+        "print(json.dumps([record['lru_delta'], record['solver_delta']],\n"
+        "    sort_keys=True))\n"
+    )
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+    )
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]

@@ -11,17 +11,23 @@ across the swap.
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ef.game import Move
 from repro.ef.naive import NaiveGameSolver
 from repro.ef.solver import GameSolver, solve_equivalence
 from repro.fc.structures import BOTTOM, word_structure
+from repro.kernel import efcore
+from repro.kernel.interning import intern_restricted_table, intern_table
 from repro.words.factors import factors
 from repro.words.generators import words_up_to
 
 ALPHABET = "ab"
 WORDS4 = list(words_up_to(ALPHABET, 4))
 SEED = 20260806
+
+#: A dense limit every non-empty universe exceeds: the sparse branch.
+SPARSE = 0
 
 
 def _pair(word_a, word_b):
@@ -56,6 +62,83 @@ def test_seeded_sample_at_lengths_5_and_6():
         for k in (1, 2, 3):
             slow = solve_equivalence(structure_a, structure_b, k)
             assert fast.duplicator_wins(k) == slow, (word_a, word_b, k)
+
+
+def test_sparse_branch_agrees_on_a_grid_sample(monkeypatch):
+    # No universe in the grid exceeds the real dense limit, so lowering
+    # it is the only way the sparse probes meet the oracle.
+    monkeypatch.setattr(efcore, "_DENSE_LIMIT", SPARSE)
+    rng = random.Random(SEED)
+    for _ in range(60):
+        word_a = rng.choice(WORDS4)
+        word_b = rng.choice(WORDS4)
+        structure_a, structure_b = _pair(word_a, word_b)
+        fast = GameSolver(structure_a, structure_b)
+        for k in (1, 2, 3):
+            slow = solve_equivalence(structure_a, structure_b, k)
+            assert fast.duplicator_wins(k) == slow, (word_a, word_b, k)
+
+
+def _table(word, dropped):
+    """The full structure of ``word`` (``dropped`` is None), or its
+    restriction to the factors not in ``dropped``."""
+    if dropped is None:
+        return intern_table(word, tuple(ALPHABET))
+    return intern_restricted_table(
+        word, tuple(ALPHABET), frozenset(factors(word) - dropped)
+    )
+
+
+_restriction = st.none() | st.frozensets(st.text(ALPHABET, max_size=3))
+
+
+@pytest.mark.parametrize("dense_limit", [efcore._DENSE_LIMIT, SPARSE])
+@settings(max_examples=150, deadline=None)
+@given(
+    word_a=st.text(ALPHABET, max_size=5),
+    dropped_a=_restriction,
+    word_b=st.text(ALPHABET, max_size=5),
+    dropped_b=_restriction,
+    picks=st.lists(st.integers(min_value=0, max_value=999), max_size=3),
+)
+# Items repeat: both restrictions send b and ε to ⊥.
+@example("a", frozenset({""}), "a", frozenset({""}), [])
+# Only the e·e fact separates some pairs.
+@example("baba", None, "bbba", None, [320])
+def test_atomic_types_match_the_pairwise_check(
+    dense_limit, word_a, dropped_a, word_b, dropped_b, picks
+):
+    # Two ids realise the same atomic type over a consistent position
+    # exactly when the pairwise Definition 3.1 check accepts them.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(efcore, "_DENSE_LIMIT", dense_limit)
+        core = efcore.KernelSolver(
+            _table(word_a, dropped_a), _table(word_b, dropped_b)
+        )
+    if not core._base_ok:
+        return
+    position = ()
+    for pick in picks:
+        candidates = [
+            (a, b)
+            for a in range(core._n_a + 1)
+            for b in range(core._n_b + 1)
+            if (a, b) not in position
+            and core._try_extend(position, a, b) is not None
+        ]
+        if not candidates:
+            break
+        position = core._try_extend(position, *candidates[pick % len(candidates)])
+    items = core._const_pairs + position
+    types_a = list(core.atomic_types(core.table_a, [a for a, _ in items]))
+    types_b = list(core.atomic_types(core.table_b, [b for _, b in items]))
+    for a, type_a in enumerate(types_a):
+        for b, type_b in enumerate(types_b):
+            assert (type_a == type_b) == core._check_new(items, a, b), (
+                position,
+                a,
+                b,
+            )
 
 
 def _sampled_positions(rng, structure_a, structure_b, count):
@@ -94,9 +177,10 @@ def test_midgame_positions_agree_exactly():
             if not slow.consistent(position):
                 continue
             move = Move("A", rng.choice([BOTTOM, *sorted(factors(word_a))]))
-            assert fast.winning_response(2, position, move) == (
-                slow.winning_response(2, position, move)
-            ), (word_a, word_b, position, move)
+            for k in (1, 2):
+                assert fast.winning_response(k, position, move) == (
+                    slow.winning_response(k, position, move)
+                ), (word_a, word_b, position, move, k)
 
 
 def test_merged_response_order_matches_keyed_sort():
@@ -178,6 +262,15 @@ def test_restricted_structures_agree():
     # The E08-style pseudo-congruence games play on restrictions; these are
     # also the only structures with nontrivial automorphism groups, so this
     # exercises the symmetry-reduced memo against the oracle.
+    _assert_restricted_structures_agree()
+
+
+def test_restricted_structures_agree_on_the_sparse_branch(monkeypatch):
+    monkeypatch.setattr(efcore, "_DENSE_LIMIT", SPARSE)
+    _assert_restricted_structures_agree()
+
+
+def _assert_restricted_structures_agree():
     combos = [
         ("aabb", "ab", "aabbab"),
         ("abab", "bb", "ababbb"),

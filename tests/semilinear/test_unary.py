@@ -1,6 +1,7 @@
 """Tests for unary-language semi-linearity detection (Lemma 3.6's engine)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.semilinear.linear_sets import LinearSet, SemiLinearSet
 from repro.semilinear.unary import (
@@ -13,6 +14,19 @@ from repro.semilinear.unary import (
     semilinear_gap_witness,
     unary_language_of,
 )
+
+
+def _cubic_scan(sample, bound):
+    """Reference: every (period, threshold) pair, checked by a full scan."""
+    membership = [n in sample for n in range(bound + 1)]
+    for period in range(1, bound // 2 + 1):
+        for threshold in range(0, bound - 2 * period + 1):
+            if all(
+                membership[n] == membership[n + period]
+                for n in range(threshold, bound - period + 1)
+            ):
+                return threshold, period
+    return None
 
 
 class TestTranslation:
@@ -45,6 +59,30 @@ class TestPeriodicityDetection:
     def test_scaled_powers_not_detected(self):
         """Prop 4.9's variant {i·2ⁿ}."""
         assert not is_sample_semilinear(scaled_powers_of_two(3, 384), 384)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), bound=st.integers(min_value=0, max_value=40))
+    def test_matches_the_cubic_scan(self, data, bound):
+        # Random sets, eventually periodic sets behind a random prefix,
+        # and {2ⁿ}, against the period-major threshold scan it replaced.
+        kind = data.draw(st.sampled_from(["random", "periodic", "powers"]))
+        if kind == "random":
+            sample = data.draw(
+                st.frozensets(st.integers(min_value=0, max_value=bound + 3))
+            )
+        elif kind == "periodic":
+            prefix = data.draw(st.integers(min_value=0, max_value=bound))
+            period = data.draw(st.integers(min_value=1, max_value=8))
+            head = data.draw(st.frozensets(st.integers(0, max(prefix - 1, 0))))
+            residues = data.draw(st.frozensets(st.integers(0, period - 1)))
+            sample = frozenset(n for n in head if n < prefix) | frozenset(
+                n for n in range(prefix, bound + 1) if n % period in residues
+            )
+        else:
+            sample = powers_of_two(bound)
+        assert detect_eventual_periodicity(sample, bound) == _cubic_scan(
+            sample, bound
+        )
 
 
 class TestRobustDetection:
