@@ -36,21 +36,33 @@ Everything word-independent is shared:
   per-atom candidate generators.  Soundness invariant: every value of
   the variable outside the pool makes the guarded subformula evaluate
   to the non-decisive truth value (``∃`` → false, ``∀`` → true).
+* **Chain heads** — every variable ranges over the word's factors, so
+  when the pooled variable is the head of ``x ≐ p₁⋯p_k`` (``x ≐ y·z``
+  is the two-part chain) a true atom makes ``x`` begin with the
+  concatenation of the leading run of known parts (constants and
+  outer-bound variables) and end with that of the trailing run.  The
+  pool is the word's factors with that prefix, intersected with those
+  with that suffix; with every part known it is the one concatenation,
+  and only a chain with no known part at either end is unconstrained.
 * **Global candidate memos** — candidates derived from a known head
   value are substrings of that value, hence factors of *any* word the
   value occurs in: chain decompositions, prefix/suffix cuts and halves
   are memoised per value across the whole family (gid-keyed via
   :class:`repro.kernel.sweep.SweepFamily`).  Only whole-word scans
-  (``factors with prefix p``) stay per-word.
+  (``factors with prefix p``, or suffix) stay per-word.
 * **Assignment-pure extension atoms** — atoms declaring
   ``_assignment_pure`` (their truth depends only on the values of their
   free variables: regex constraints on variables, the Theorem 5.8
   oracle atoms) are memoised per value tuple across the family, so a
   DFA runs once per distinct factor instead of once per enumerated
-  tuple.  Any other extension atom (a Const-subject regex constraint,
-  whose ⊥-ness reads the word) is a per-word leaf: evaluated against
-  the word's :class:`~repro.fc.structures.WordStructure`, never memoised
-  across words.
+  tuple.  A unary one on a pooled variable filters its candidates
+  through two family-wide masks, the ids decided so far and the ids
+  accepted: a pool is filtered by evaluating only its undecided ids
+  and one ``&``.  Any other extension atom (a Const-subject regex
+  constraint, whose ⊥-ness reads the word) is a per-word leaf:
+  evaluated against the word's
+  :class:`~repro.fc.structures.WordStructure`, never memoised across
+  words.
 * **Conjunct ordering** — flattened ∧/∨ chains are evaluated cheapest
   subformula first (evaluation is total, so the boolean result is
   order-independent); φ_fib's ``φ_w(u) ∧ chain ∧ …`` blocks stop
@@ -552,37 +564,34 @@ def _leaf_atom(spec: _AtomSpec, alphabet: str):
 # intersects before any id is witnessed.
 
 
-def _pool_combined(y: int, z: int):
-    """``x`` unknown, ``y`` and ``z`` known: the one candidate ``y·z``."""
-
-    def combined(ctx):
-        gid = ctx.cat(ctx.ref(y), ctx.ref(z))
-        return 1 << gid if gid in ctx.members else 0
-
-    return combined
-
-
 def _pool_fold(refs: tuple):
     """A chain's head unknown, every part known: their concatenation."""
+    first, rest = refs[0], refs[1:]
 
     def fold(ctx):
         ref = ctx.ref
-        cat = ctx.cat
-        joined = ctx.eps
-        for code in refs:
-            joined = cat(joined, ref(code))
+        joined = ref(first)
+        for code in rest:
+            joined = ctx.cat(joined, ref(code))
         return 1 << joined if joined in ctx.members else 0
 
     return fold
 
 
-def _pool_word_scan(prefix: bool, known: int):
-    """``x`` unknown with a known prefix (``y``) or suffix (``z``)."""
+def _pool_affix(prefix: bool, refs: tuple):
+    """A chain's head unknown, some part unknown: the word's factors
+    that begin (``prefix``) or end with the concatenation of a run of
+    known parts at that end."""
+    first, rest = refs[0], refs[1:]
 
-    def word_scan(ctx):
-        return ctx.word_scan(prefix, ctx.ref(known))
+    def affix(ctx):
+        ref = ctx.ref
+        joined = ref(first)
+        for code in rest:
+            joined = ctx.cat(joined, ref(code))
+        return ctx.word_scan(prefix, joined)
 
-    return word_scan
+    return affix
 
 
 def _pool_span(case: str, refs: tuple):
@@ -654,6 +663,31 @@ def _pool_union(children: tuple):
         return merged
 
     return union
+
+
+def _pool_head(refs: tuple):
+    """The pool of a chain's head ``x ≐ p₁⋯p_k`` from the parts' pool
+    refs (``None``: an unknown part — the pooled variable or a masked
+    one).  Every variable ranges over the word's factors, so a true atom
+    makes ``x`` begin with the concatenation of the leading run of known
+    parts and end with that of the trailing run; ``x ≐ y·z`` is the
+    two-part chain.  A run holding a constant whose letter the word
+    lacks is found nowhere, so its scan is empty, as the atom is false.
+    """
+    if None not in refs:
+        return _pool_fold(refs)
+    lead = refs[: refs.index(None)]
+    trail = refs[len(refs) - refs[::-1].index(None) :]
+    runs = []
+    if lead:
+        runs.append(_pool_affix(True, lead))
+    if trail:
+        runs.append(_pool_affix(False, trail))
+    if not runs:
+        return None
+    if len(runs) == 1:
+        return runs[0]
+    return _pool_inter(tuple(runs), ())
 
 
 class _Compiler:
@@ -878,13 +912,7 @@ class _Compiler:
             in_x, in_y, in_z = (t == var for t in terms)
             x_ref, y_ref, z_ref = (ref(t) for t in terms)
             if in_x and not in_y and not in_z:
-                if y_ref is not None and z_ref is not None:
-                    return _pool_combined(y_ref, z_ref)
-                if y_ref is not None:
-                    return _pool_word_scan(True, y_ref)
-                if z_ref is not None:
-                    return _pool_word_scan(False, z_ref)
-                return None
+                return _pool_head((y_ref, z_ref))
             if in_y or in_z:
                 if x_ref is None:
                     return None  # includes the in_x-and-in_y/z mixes
@@ -900,10 +928,7 @@ class _Compiler:
             return None
         # ConcatChain.
         if var == atom.x:
-            refs = tuple(ref(part) for part in atom.parts)
-            if any(r is None for r in refs):
-                return None
-            return _pool_fold(refs)
+            return _pool_head(tuple(ref(part) for part in atom.parts))
         if var not in atom.parts:
             return None
         head_ref = ref(atom.x)
@@ -1043,30 +1068,27 @@ class SweepProgram:
     # repro-lint: domain[returns=bitset-pool:sweep, pool=bitset-pool:sweep] filter refinement keeps a pool a pool
     def _filtered(self, spec: _AtomSpec, pool, ctx: _Ctx) -> int:
         """The candidates (``None``: the word's universe) that satisfy
-        an assignment-pure unary filter atom."""
-        if pool is None:
-            source = ctx.table.universe
-        else:
-            # repro-lint: allow[domains.universe-escape] filter refinement inside the pool evaluator: the result stays a pool, and every caller intersects with the member mask before witnessing
-            source = iter_ids(pool)
-        acc = 0
-        for gid in source:
-            if self._filter_ok(spec, gid, ctx):
-                acc |= 1 << gid
-        ctx.bitops += 1
-        return acc
+        an assignment-pure unary filter atom.
 
-    # repro-lint: domain[gid=intern:sweep] filters test one candidate gid at a time
-    def _filter_ok(self, flt: _AtomSpec, gid: int, ctx: _Ctx) -> bool:
-        key = (flt.index, gid)
-        cached = self._filter_memo.get(key)
-        if cached is None:
-            cached = flt.atom._evaluate(
+        The family-wide memo keeps two masks per atom, the ids decided
+        so far and the ids accepted, so the atom runs once per id and
+        family: only the candidates not yet decided are evaluated.
+        """
+        # repro-lint: domain[bitset-pool:sweep] the word's universe or the caller's pool, which may hold non-factors
+        candidates = ctx.table.mask if pool is None else pool
+        decided, accepted = self._filter_memo.get(spec.index, (0, 0))
+        fresh = candidates & ~decided
+        if fresh:
+            name = spec.names[0]
+            texts = self.family.strings
+            # repro-lint: allow[domains.universe-escape] filter refinement inside the pool evaluator: the result stays a pool, and every caller intersects with the member mask before witnessing
+            for gid in iter_ids(fresh):
                 # repro-lint: allow[effects.memo-key-completeness] ctx.view only reaches _assignment_pure atoms, whose results do not depend on it (enforced by effects.assignment-purity)
-                ctx.view, {flt.names[0]: self.family.strings[gid]}
-            )
-            self._filter_memo[key] = cached
-        return cached
+                if spec.atom._evaluate(ctx.view, {name: texts[gid]}):
+                    accepted |= 1 << gid
+            self._filter_memo[spec.index] = (decided | fresh, accepted)
+        ctx.bitops += 1
+        return candidates & accepted
 
     def _ext_truth(self, spec: _AtomSpec, ctx: _Ctx):
         """An assignment-pure atom's truth, memoised on the value

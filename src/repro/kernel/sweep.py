@@ -12,9 +12,12 @@ cache is keyed on strings.  This module fixes both:
   family-global memo keys are tuples of ints;
 * per-word views (:class:`SweepTable`) are built **incrementally along
   the prefix tree** of the enumeration: ``Facs(w·a) = Facs(w) ∪
-  {suffixes of w·a}``, so extending a parent table costs O(|w|) intern
-  probes plus one sorted merge instead of the O(|w|²) from-scratch
-  interning — and the factor sets share their parent's ids;
+  {suffixes of w·a}``, and once a suffix is a factor of ``w`` every
+  shorter one is too, so an extension interns only the new suffixes
+  (walking from the longest, it stops at the first old one) and inserts
+  each into the parent's sorted universe by bisection, instead of the
+  O(|w|²) from-scratch interning — and the factor sets share their
+  parent's ids;
 * a family of one word (the per-word FC front-ends) has no prefix table
   to reuse, so :meth:`SweepFamily.word_table` builds its only table in
   one pass: every factor, one ``(len, text)`` sort.
@@ -32,6 +35,8 @@ engine report, same as the EF solver's.
 """
 
 from __future__ import annotations
+
+import bisect
 
 from repro import metrics
 from repro.kernel import bitset
@@ -241,9 +246,11 @@ class SweepFamily:
         table = self._tables.get(word)
         if table is not None:
             return table
-        # Facs(w·a) = Facs(w) ∪ {suffixes of w·a}.  The new suffixes have
-        # pairwise distinct lengths, so sorting them by length alone
-        # already yields (len, text) order for the merge.
+        # Facs(w·a) = Facs(w) ∪ {suffixes of w·a}.  Once a suffix is a
+        # factor of w, every shorter suffix is one too, so the new
+        # factors are the suffixes longer than the longest old one: walk
+        # from the longest and stop at the first old one (ε at the
+        # latest).
         intern = self.intern
         # repro-lint: allow[effects.memo-key-completeness] parent is the interned table of word[:-1], itself a pure function of the key word
         members = parent.members
@@ -251,10 +258,13 @@ class SweepFamily:
         fresh = []
         for begin in range(len(word) + 1):
             gid = intern(word[begin:])
-            if gid not in members:
-                fresh.append(gid)
-                mask |= 1 << gid
-        fresh.sort(key=lambda g: self.lengths[g])
+            if gid in members:
+                break
+            fresh.append(gid)
+            mask |= 1 << gid
+        # The new suffixes have pairwise distinct lengths, so ascending
+        # length is already (len, text) order for the merge.
+        fresh.reverse()
         universe = self._merge(parent.universe, fresh)
         table = SweepTable(
             word,
@@ -272,21 +282,16 @@ class SweepFamily:
 
     # repro-lint: domain[returns=iter[intern:sweep], old=iter[intern:sweep]] both inputs carry this family's gids
     def _merge(self, old: tuple, fresh: list) -> tuple:
-        """Merge two (len, text)-sorted id sequences into one tuple."""
-        if not fresh:
-            return old
+        """Merge two (len, text)-sorted id sequences into one tuple: each
+        fresh id is inserted by bisection, searching from the previous
+        insertion point."""
         key = self.sort_key
-        merged = []
-        i = j = 0
-        while i < len(old) and j < len(fresh):
-            if key(old[i]) <= key(fresh[j]):
-                merged.append(old[i])
-                i += 1
-            else:
-                merged.append(fresh[j])
-                j += 1
-        merged.extend(old[i:])
-        merged.extend(fresh[j:])
+        merged = list(old)
+        lo = 0
+        for gid in fresh:
+            lo = bisect.bisect_right(merged, key(gid), lo, key=key)
+            merged.insert(lo, gid)
+            lo += 1
         return tuple(merged)
 
 

@@ -45,7 +45,9 @@ PINNED = {
     "repro.fc.builders.phi_ww": [],
     "repro.fc.structures.WordStructure.constant": [],
     "repro.fc.sweep._WordView.constant": [],
-    "repro.fc.sweep.SweepProgram._filter_ok": ["mutates-self", "unknown"],
+    "repro.fc.sweep.SweepProgram._filtered": [
+        "mutates-arg:ctx", "mutates-self", "unknown",
+    ],
     "repro.fc.sweep._Compiler._flatten": ["mutates-arg:out", "mutates-self"],
     "repro.fc.sweep.compiled_plan": [],
     # foeq/: per-parameter mutation tracking keeps the lru-cached
