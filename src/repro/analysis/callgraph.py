@@ -41,7 +41,7 @@ import builtins
 import re
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.framework import Codebase, SourceModule
+from repro.analysis.framework import Codebase, SourceModule, pin_lines
 
 __all__ = [
     "CallGraph",
@@ -61,8 +61,9 @@ ROOT_KINDS = (
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
-#: ``# repro-lint: effects[pure] reason`` on (or above) a ``def`` pins
-#: the function's summary, bypassing inference (trusted declaration).
+#: ``# repro-lint: effects[pure] reason`` on a ``def`` line, or on a
+#: comment line of its own above it, pins the function's summary,
+#: bypassing inference (trusted declaration).
 _DECLARED_RE = re.compile(r"repro-lint:\s*effects\[([^\]]*)\]")
 
 #: Constructors whose module-level results are mutable containers.
@@ -226,14 +227,17 @@ class CallGraph:
         #: dotted module-level data binding → value-is-mutable
         self.data_bindings: dict[str, bool] = {}
         self.scans: dict[str, FunctionScan] = {}
+        #: qualname → the scanner that produced its scan; the race
+        #: analysis reads its name roots and executable nodes.
+        self.scanners: dict[str, _Scanner] = {}
         #: dotted data bindings some function stores into
         self.mutated_globals: set[str] = set()
         self._collect()
         self._infer_attr_types()
         for qualname in sorted(self.functions):
-            self.scans[qualname] = _Scanner(
-                self, self.functions[qualname]
-            ).scan()
+            scanner = _Scanner(self, self.functions[qualname])
+            self.scanners[qualname] = scanner
+            self.scans[qualname] = scanner.scan()
         for scan in self.scans.values():
             for store in scan.stores:
                 if store.root.startswith("global:"):
@@ -412,32 +416,18 @@ class CallGraph:
 
     def resolve_method(self, cls: str | None, name: str) -> str | None:
         """The defining function qualname for ``cls.name``, walking bases."""
-        seen: set[str] = set()
-        queue = [cls] if cls else []
-        classes = self.codebase.classes()
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
+        if not cls:
+            return None
+        for current in self.codebase.mro(cls):
             found = self.class_methods.get(current, {}).get(name)
             if found is not None:
                 return found
-            info = classes.get(current)
-            if info is not None:
-                queue.extend(info.bases)
         return None
 
     def declared_effects(
         self, module: SourceModule, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> frozenset[str] | None:
-        lines = module.lines
-        candidates = []
-        if 1 <= node.lineno <= len(lines):
-            candidates.append(lines[node.lineno - 1])
-        if node.lineno >= 2:
-            candidates.append(lines[node.lineno - 2])
-        for text in candidates:
+        for text in pin_lines(module, node.lineno):
             match = _DECLARED_RE.search(text)
             if match is not None:
                 atoms = {
@@ -467,6 +457,8 @@ class _Scanner:
         self.alias_type: dict[str, str] = {}
         self.alias_callable: dict[str, tuple[str, str]] = {}
         self.nodes: list[ast.AST] = []
+        #: single-name assignments (``x = …``), in source order
+        self.name_assignments: list[ast.Assign] = []
 
     # -- scanning -----------------------------------------------------------
 
@@ -601,7 +593,7 @@ class _Scanner:
         self.locals -= self.declared_globals
 
     def _alias_pass(self) -> None:
-        assignments = sorted(
+        self.name_assignments = sorted(
             (
                 child
                 for child in self.nodes
@@ -611,7 +603,7 @@ class _Scanner:
             ),
             key=lambda child: (child.lineno, child.col_offset),
         )
-        for child in assignments:
+        for child in self.name_assignments:
             name = child.targets[0].id
             value = child.value
             if isinstance(value, (ast.Name, ast.Attribute, ast.Subscript)):

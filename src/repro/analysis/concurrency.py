@@ -68,9 +68,16 @@ import fnmatch
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.callgraph import _Scanner
+from repro.analysis.callgraph import _unparse_short
 from repro.analysis.effects import _MUTATING_METHODS, analysis_for
-from repro.analysis.framework import Checker, Codebase, Finding, LintConfig
+from repro.analysis.framework import (
+    Checker,
+    Codebase,
+    Finding,
+    LintConfig,
+    reach,
+    until_stable,
+)
 from repro.analysis.purity import _is_lru_cached
 
 __all__ = [
@@ -104,14 +111,6 @@ _RESOURCE_CONSTRUCTORS = _LOCK_CONSTRUCTORS | frozenset({
 
 #: Dict/container method names that read-modify-write their receiver.
 _RMW_METHODS = frozenset({"setdefault", "update", "pop", "popitem"})
-
-
-def _unparse_short(node: ast.AST, limit: int = 48) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover — unparse is total on 3.10+
-        text = "<expr>"
-    return text if len(text) <= limit else text[: limit - 1] + "…"
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,6 @@ class ConcurrencyAnalysis:
         self.lock_accessors: dict[str, str] = {}
         #: class qualname → attrs assigned via ``self`` in its methods
         self._class_fields: dict[str, set[str]] = {}
-        self._scanners: dict[str, _Scanner] = {}
         self.facts: dict[str, FunctionFacts] = {}
 
         self._index_class_fields()
@@ -182,8 +180,9 @@ class ConcurrencyAnalysis:
         self._index_accessors()
         self._build_facts()
 
-        self.thread_parents = self.analysis.reach(self._thread_roots())
-        self.fork_parents = self.analysis.reach(self._fork_roots())
+        callees = self.analysis.callees
+        self.thread_parents = reach(self._thread_roots(), callees)
+        self.fork_parents = reach(self._fork_roots(), callees)
         self.thread_reachable = set(self.thread_parents)
         self.fork_reachable = set(self.fork_parents)
         self.shared_classes = self._shared_classes()
@@ -237,18 +236,8 @@ class ConcurrencyAnalysis:
         """
         if cls is None:
             return "<unknown>"
-        classes = self.codebase.classes()
-        order: list[str] = []
-        queue, seen = [cls], set()
-        while queue:
-            current = queue.pop(0)
-            if current in seen or current not in classes:
-                continue
-            seen.add(current)
-            order.append(current)
-            queue.extend(classes[current].bases)
         owner = cls
-        for candidate in order:  # BFS order: cls first, bases after
+        for candidate in self.codebase.mro(cls):  # cls first, bases after
             if attr in self._class_fields.get(candidate, set()):
                 owner = candidate
         return owner
@@ -394,37 +383,19 @@ class ConcurrencyAnalysis:
             self.facts[qualname] = self._facts_for(qualname)
         self._pid_guard_pass()
 
-    def _scanner_for(self, qualname: str) -> _Scanner:
-        scanner = self._scanners.get(qualname)
-        if scanner is None:
-            scanner = _Scanner(self.graph, self.graph.functions[qualname])
-            scanner.scan()
-            self._scanners[qualname] = scanner
-        return scanner
-
     def _facts_for(self, qualname: str) -> FunctionFacts:
-        info = self.graph.functions[qualname]
-        scanner = self._scanner_for(qualname)
+        scanner = self.graph.scanners[qualname]
         # Aliases that carry a location: ``lock = self._lock`` or
         # ``table = _GLOBAL`` — single-target name assignments, applied
         # in line order so later aliases can build on earlier ones.
         alias: dict[str, str] = {}
-        assigns = sorted(
-            (
-                node
-                for node in scanner.nodes
-                if isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ),
-            key=lambda node: (node.lineno, node.col_offset),
-        )
-        for node in assigns:
-            location = self._expr_location(node.value, info, scanner, alias)
+        for node in scanner.name_assignments:
+            location = self._expr_location(node.value, scanner, alias)
             if location is not None:
                 alias[node.targets[0].id] = location
 
         mutations: list[Mutation] = []
+        acquisitions: list[Acquisition] = []
         for node in scanner.nodes:
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 if isinstance(node, ast.AnnAssign) and node.value is None:
@@ -437,26 +408,20 @@ class ConcurrencyAnalysis:
                 rmw = isinstance(node, ast.AugAssign)
                 value = node.value
                 for target in targets:
-                    mutations.extend(
-                        self._target_mutations(
-                            target, value, rmw, info, scanner, alias
-                        )
-                    )
+                    mutations.extend(self._target_mutations(
+                        target, value, rmw, scanner, alias
+                    ))
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
-                    mutations.extend(
-                        self._target_mutations(
-                            target, None, False, info, scanner, alias
-                        )
-                    )
+                    mutations.extend(self._target_mutations(
+                        target, None, False, scanner, alias
+                    ))
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _MUTATING_METHODS
             ):
-                location = self._expr_location(
-                    node.func.value, info, scanner, alias
-                )
+                location = self._expr_location(node.func.value, scanner, alias)
                 if location is not None:
                     mutations.append(Mutation(
                         node.lineno,
@@ -464,17 +429,13 @@ class ConcurrencyAnalysis:
                         node.func.attr in _RMW_METHODS,
                         f"{_unparse_short(node.func)}(…)",
                     ))
-
-        acquisitions: list[Acquisition] = []
-        for node in scanner.nodes:
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            for item in node.items:
-                lock = self._lock_of(item.context_expr, info, scanner, alias)
-                if lock is not None:
-                    acquisitions.append(Acquisition(
-                        node.lineno, node.end_lineno or node.lineno, lock
-                    ))
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    lock = self._lock_of(item.context_expr, scanner, alias)
+                    if lock is not None:
+                        acquisitions.append(Acquisition(
+                            node.lineno, node.end_lineno or node.lineno, lock
+                        ))
 
         key = lambda m: (m.line, m.location)  # noqa: E731
         return FunctionFacts(
@@ -487,23 +448,23 @@ class ConcurrencyAnalysis:
         )
 
     def _target_mutations(
-        self, target, value, rmw, info, scanner, alias
+        self, target, value, rmw, scanner, alias
     ) -> list[Mutation]:
         if isinstance(target, (ast.Tuple, ast.List)):
             out: list[Mutation] = []
             for element in target.elts:
                 out.extend(self._target_mutations(
-                    element, value, rmw, info, scanner, alias
+                    element, value, rmw, scanner, alias
                 ))
             return out
         if isinstance(target, ast.Starred):
             return self._target_mutations(
-                target.value, value, rmw, info, scanner, alias
+                target.value, value, rmw, scanner, alias
             )
         location: str | None = None
         if isinstance(target, ast.Name):
             if target.id in scanner.declared_globals:
-                location = f"global:{info.module}.{target.id}"
+                location = f"global:{scanner.info.module}.{target.id}"
                 if not rmw and value is not None:
                     # ``global X; X = X + 1`` is a check-then-update too.
                     rmw = any(
@@ -511,7 +472,7 @@ class ConcurrencyAnalysis:
                         for node in ast.walk(value)
                     )
         elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            location = self._expr_location(target, info, scanner, alias)
+            location = self._expr_location(target, scanner, alias)
             if (
                 not rmw
                 and location is not None
@@ -559,11 +520,12 @@ class ConcurrencyAnalysis:
         return None
 
     def _expr_location(
-        self, expr: ast.expr, info, scanner, alias: dict[str, str]
+        self, expr: ast.expr, scanner, alias: dict[str, str]
     ) -> str | None:
         """Location id an expression denotes, or ``None`` (local/fresh)."""
+        info = scanner.info
         if isinstance(expr, ast.Subscript):
-            return self._expr_location(expr.value, info, scanner, alias)
+            return self._expr_location(expr.value, scanner, alias)
         if isinstance(expr, ast.Name):
             if expr.id in alias:
                 return alias[expr.id]
@@ -590,11 +552,12 @@ class ConcurrencyAnalysis:
         return None
 
     def _lock_of(
-        self, expr: ast.expr, info, scanner, alias: dict[str, str]
+        self, expr: ast.expr, scanner, alias: dict[str, str]
     ) -> str | None:
         """The lock id a ``with`` context expression acquires, if any."""
+        info = scanner.info
         if isinstance(expr, (ast.Name, ast.Attribute)):
-            location = self._expr_location(expr, info, scanner, alias)
+            location = self._expr_location(expr, scanner, alias)
             if location is None:
                 return None
             if location in self.module_locks or location in self.field_locks:
@@ -662,18 +625,13 @@ class ConcurrencyAnalysis:
         # Close over field-annotation types and subclasses: anything a
         # shared object holds (or any subtype standing in for it) is
         # reachable from the same ≥ 2 threads.
-        queue = sorted(shared)
-        while queue:
-            cls = queue.pop(0)
-            grown: set[str] = set()
-            for attr_type in self.graph.attr_types.get(cls, {}).values():
-                grown.add(attr_type)
+
+        def held_or_derived(cls: str) -> list[str]:
+            grown = set(self.graph.attr_types.get(cls, {}).values())
             grown |= self.codebase.subclasses(cls)
-            for child in sorted(grown):
-                if child not in shared and child in classes:
-                    shared.add(child)
-                    queue.append(child)
-        return shared
+            return sorted(grown & classes.keys())
+
+        return set(reach(sorted(shared), held_or_derived))
 
     def is_thread_shared(self, location: str) -> bool:
         if location.startswith("global:"):
@@ -703,46 +661,33 @@ class ConcurrencyAnalysis:
     def _must_hold(self) -> dict[str, frozenset[str]]:
         """Locks held on *every* path into each reachable function."""
         reachable = sorted(self.thread_reachable | self.fork_reachable)
-        roots = set(self._thread_roots()) | {
-            root for root in self._fork_roots()
-        }
-        held: dict[str, frozenset[str] | None] = {}
-        for root in sorted(roots):
-            if root in self.graph.functions:
-                held[root] = frozenset()
-        changed = True
-        while changed:
+        roots = set(self._thread_roots()) | set(self._fork_roots())
+        held = dict.fromkeys(sorted(roots), frozenset())
+
+        def enter_callees(caller: str) -> bool:
+            base = held.get(caller)
+            if base is None:
+                return False
             changed = False
-            for caller in reachable:
-                base = held.get(caller)
-                if base is None:
-                    continue
-                facts = self.facts[caller]
-                for site in self.graph.scans[caller].calls:
-                    at_site = base | {
-                        acq.lock
-                        for acq in facts.acquisitions
-                        if acq.line < site.line <= acq.end_line
-                    }
-                    for callee, _ in self.analysis._callee_summary(site):
-                        if callee not in self.facts:
-                            continue
-                        previous = held.get(callee, None)
-                        if callee in roots:
-                            continue  # a root can be entered lock-free
-                        merged = (
-                            at_site
-                            if previous is None
-                            else frozenset(previous & at_site)
-                        )
-                        if merged != previous:
-                            held[callee] = merged
-                            changed = True
-        return {
-            qualname: locks
-            for qualname, locks in held.items()
-            if locks is not None
-        }
+            facts = self.facts[caller]
+            for site in self.graph.scans[caller].calls:
+                at_site = base | {
+                    acq.lock
+                    for acq in facts.acquisitions
+                    if acq.line < site.line <= acq.end_line
+                }
+                for callee, _ in self.analysis._callee_summary(site):
+                    if callee not in self.facts or callee in roots:
+                        continue  # a root can be entered lock-free
+                    previous = held.get(callee)
+                    merged = at_site if previous is None else previous & at_site
+                    if merged != previous:
+                        held[callee] = merged
+                        changed = True
+            return changed
+
+        until_stable(reachable, enter_callees)
+        return held
 
     def guards_at(self, qualname: str, line: int) -> frozenset[str]:
         """Locks provably held at ``line`` inside ``qualname``."""
@@ -761,17 +706,18 @@ class ConcurrencyAnalysis:
             )
             for qualname, facts in self.facts.items()
         }
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(self.facts):
-                grown = set(acquired_closure[qualname])
-                for site in self.graph.scans[qualname].calls:
-                    for callee, _ in self.analysis._callee_summary(site):
-                        grown |= acquired_closure.get(callee, frozenset())
-                if grown != acquired_closure[qualname]:
-                    acquired_closure[qualname] = frozenset(grown)
-                    changed = True
+
+        def absorb_callees(qualname: str) -> bool:
+            grown = acquired_closure[qualname].union(*(
+                acquired_closure.get(callee, frozenset())
+                for callee in self.analysis.callees(qualname)
+            ))
+            if grown == acquired_closure[qualname]:
+                return False
+            acquired_closure[qualname] = grown
+            return True
+
+        until_stable(sorted(self.facts), absorb_callees)
         edges: dict[tuple[str, str], tuple[str, int]] = {}
 
         def record(held: str, taken: str, qualname: str, line: int) -> None:
@@ -808,18 +754,14 @@ class ConcurrencyAnalysis:
         if not self.resources:
             return
         for qualname in sorted(self.fork_reachable):
-            info = self.graph.functions[qualname]
             facts = self.facts[qualname]
-            scanner = self._scanner_for(qualname)
-            alias: dict[str, str] = {}
+            scanner = self.graph.scanners[qualname]
             uses: dict[str, ResourceUse] = {}
             for node in scanner.nodes:
                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                     getattr(node, "ctx", None), ast.Load
                 ):
-                    location = self._expr_location(
-                        node, info, scanner, alias
-                    )
+                    location = self._expr_location(node, scanner, {})
                     if location in self.resources and location not in uses:
                         uses[location] = ResourceUse(
                             node.lineno, location, _unparse_short(node)

@@ -71,7 +71,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import FunctionInfo
 from repro.analysis.effects import analysis_for as _effects_for
-from repro.analysis.framework import Codebase, LintConfig, SourceModule
+from repro.analysis.framework import (
+    Codebase,
+    LintConfig,
+    SourceModule,
+    pin_lines,
+    until_stable,
+)
 
 __all__ = [
     "DomainAnalysis",
@@ -184,6 +190,15 @@ def _index_of(spec: str) -> str | None:
 def _join(left: str, right: str) -> str:
     """Control-flow join: equal domains survive, anything else drops."""
     return left if left == right else PLAIN
+
+
+def _rises(previous: str, inferred: str) -> bool:
+    """Is ``previous`` → ``inferred`` a step up the return inference's
+    order: ``plain`` below every domain, a pool below its universe?"""
+    return previous == PLAIN or (
+        previous.startswith("bitset-pool:")
+        and inferred == f"bitset-universe:{_role(previous)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -882,51 +897,36 @@ class DomainAnalysis:
             if name in self.codebase.modules
         )
         # Close over importers so consumers of pinned producers flow too.
-        changed = True
-        while changed:
-            changed = False
-            for module in self.codebase.iter_modules():
-                if module.name in relevant:
-                    continue
-                targets = self.codebase.import_table(module).values()
-                if any(
-                    target in relevant
-                    or target.rpartition(".")[0] in relevant
-                    for target in targets
-                ):
-                    relevant.add(module.name)
-                    changed = True
+
+        def imports_relevant(module: SourceModule) -> bool:
+            if module.name in relevant or not any(
+                target in relevant or target.rpartition(".")[0] in relevant
+                for target in self.codebase.import_table(module).values()
+            ):
+                return False
+            relevant.add(module.name)
+            return True
+
+        until_stable(list(self.codebase.iter_modules()), imports_relevant)
         return relevant
 
     def _pin_at(self, module: SourceModule, lineno: int) -> str | None:
         """Raw pin body on ``lineno``, or on the line above when that line
         is a comment of its own (a trailing pin belongs to its own line)."""
-        lines = module.lines
-        body = _pin_entries(lines[lineno - 1])
-        if body is None and lineno >= 2:
-            above = lines[lineno - 2]
-            if above.lstrip().startswith("#"):
-                body = _pin_entries(above)
-        return body
+        for text in pin_lines(module, lineno):
+            body = _pin_entries(text)
+            if body is not None:
+                return body
+        return None
 
     def local_pin(self, module: SourceModule, lineno: int) -> str | None:
         return self._local_pins.get((module.name, lineno))
 
     def attr_domain(self, cls: str, attr: str) -> str | None:
-        classes = self.codebase.classes()
-        seen: set[str] = set()
-        queue = [cls]
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
+        for current in self.codebase.mro(cls):
             found = self.attr_domains.get(current, {}).get(attr)
             if found is not None:
                 return found
-            info = classes.get(current)
-            if info is not None:
-                queue.extend(info.bases)
         return None
 
     def global_domain(self, module: SourceModule, name: str) -> str:
@@ -1061,26 +1061,30 @@ class DomainAnalysis:
 
     def _solve(self) -> None:
         scope = self._scope_functions()
-        pinned_returns = set(self.returns)
-        # Inference rounds: propagate return domains through the call
-        # graph until stable (pins are never overwritten).
-        for _ in range(4):
-            changed = False
-            for qualname in scope:
-                flow = _FlowScan(self, self.graph.functions[qualname]).run(
-                    record=False
-                )
-                if qualname in pinned_returns:
-                    continue
-                previous = self.returns.get(qualname, PLAIN)
-                if flow.returns != previous:
-                    if flow.returns == PLAIN:
-                        self.returns.pop(qualname, None)
-                    else:
-                        self.returns[qualname] = flow.returns
-                    changed = True
-            if not changed:
-                break
+        # Pinned returns are never overwritten; a return domain the flow
+        # stops rising in (see _rises) is lost for good, so every
+        # function changes at most three times and the passes end.
+        fixed = set(self.returns)
+
+        def infer(qualname: str) -> bool:
+            if qualname in fixed:
+                return False
+            inferred = _FlowScan(self, self.graph.functions[qualname]).run(
+                record=False
+            ).returns
+            previous = self.returns.get(qualname, PLAIN)
+            if inferred == previous:
+                return False
+            if not _rises(previous, inferred):
+                fixed.add(qualname)
+                inferred = PLAIN
+            if inferred == PLAIN:
+                self.returns.pop(qualname, None)
+            else:
+                self.returns[qualname] = inferred
+            return True
+
+        until_stable(scope, infer)
         # Recording pass: events against the stable signature map.
         for qualname in scope:
             flow = _FlowScan(self, self.graph.functions[qualname]).run(

@@ -36,7 +36,14 @@ import builtins
 from typing import Iterator
 
 from repro.analysis.effects import analysis_for
-from repro.analysis.framework import Checker, Codebase, Finding, LintConfig
+from repro.analysis.framework import (
+    Checker,
+    Codebase,
+    Finding,
+    LintConfig,
+    reach,
+    until_stable,
+)
 from repro.analysis.purity import _is_lru_cached
 
 __all__ = [
@@ -59,6 +66,14 @@ _TOLERATED = frozenset({"counter", "store"})
 
 def _module_of(codebase: Codebase, analysis, qualname: str):
     return codebase.modules[analysis.graph.functions[qualname].module]
+
+
+def _bound_names(target: ast.expr) -> list[str]:
+    """The names a name or tuple-of-names assignment target binds."""
+    elements = target.elts if isinstance(target, ast.Tuple) else [target]
+    if all(isinstance(element, ast.Name) for element in elements):
+        return [element.id for element in elements]
+    return []
 
 
 class EffectPurityPropagationChecker(Checker):
@@ -226,7 +241,7 @@ class MemoKeyCompletenessChecker(Checker):
             for node in nodes
             if isinstance(node, ast.Assign)
             and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
+            and _bound_names(node.targets[0])
             and isinstance(node.value, ast.Call)
             and isinstance(node.value.func, ast.Attribute)
             and node.value.func.attr in ("get", "pop")
@@ -345,6 +360,9 @@ class MemoKeyCompletenessChecker(Checker):
                 args = node.args
                 for arg in args.posonlyargs + args.args + args.kwonlyargs:
                     allowed.add(arg.arg)
+        # What the get reads back (``decided, accepted = memo.get(k)``)
+        # comes from the memo itself.
+        allowed.update(_bound_names(get.targets[0]))
         # Single-name assignments before the get: unfold allowed names
         # backward (the key's inputs are key-derived) and derive forward
         # (locals computed purely from allowed names are allowed).
@@ -357,18 +375,18 @@ class MemoKeyCompletenessChecker(Checker):
                 and isinstance(node.targets[0], ast.Name)
             ):
                 pre_defs.append((node.targets[0].id, names_of(node.value)))
-        changed = True
-        while changed:
-            changed = False
-            for target, value_names in pre_defs:
-                if target in allowed and not value_names <= allowed:
-                    allowed |= value_names
-                    changed = True
-                elif target not in allowed and value_names and (
-                    value_names <= allowed
-                ):
-                    allowed.add(target)
-                    changed = True
+
+        def unfold(pre_def: tuple[str, set[str]]) -> bool:
+            target, value_names = pre_def
+            if target in allowed and not value_names <= allowed:
+                allowed.update(value_names)
+                return True
+            if target not in allowed and value_names and value_names <= allowed:
+                allowed.add(target)
+                return True
+            return False
+
+        until_stable(pre_defs, unfold)
         reported: set[str] = set()
         for node in sorted(
             (
@@ -414,7 +432,10 @@ class WorkerIsolationChecker(Checker):
             return
         analysis = analysis_for(codebase, config)
         graph = analysis.graph
-        parents = analysis.reach(roots)
+        parents = reach(
+            [root for root in roots if root in graph.functions],
+            analysis.callees,
+        )
         counters = set(getattr(config, "counter_modules", ()))
         stores = set(getattr(config, "store_modules", ()))
         for qualname in sorted(parents):

@@ -49,8 +49,8 @@ witness chain from the flagged site down to the offending statement.
 
 from __future__ import annotations
 
-from repro.analysis.callgraph import CallGraph, CallSite, FunctionScan
-from repro.analysis.framework import Codebase, LintConfig
+from repro.analysis.callgraph import CallGraph, CallSite
+from repro.analysis.framework import Codebase, LintConfig, until_stable
 
 __all__ = ["ATOMS", "EffectAnalysis", "analysis_for", "atom_family"]
 
@@ -215,30 +215,19 @@ class EffectAnalysis:
         #: (qualname, atom) → ("seed", line, detail)
         #:                  | ("call", line, callee qualname, callee atom)
         self.provenance: dict[tuple[str, str], tuple] = {}
-        self._declared: dict[str, frozenset[str]] = {}
         self._solve()
 
     # -- inference ---------------------------------------------------------
 
     def _declared_summary(self, qualname: str) -> frozenset[str] | None:
-        cached = self._declared.get(qualname)
-        if cached is not None:
-            return cached
-        scan = self.graph.scans[qualname]
-        if scan.declared is not None:
-            self._declared[qualname] = scan.declared
-            return scan.declared
+        declared = self.graph.scans[qualname].declared
+        if declared is not None:
+            return declared
         module = self.graph.functions[qualname].module
-        counters = getattr(self.config, "counter_modules", ())
-        if module in counters:
-            declared = frozenset({"counter"})
-            self._declared[qualname] = declared
-            return declared
-        stores = getattr(self.config, "store_modules", ())
-        if module in stores:
-            declared = frozenset({"store"})
-            self._declared[qualname] = declared
-            return declared
+        if module in getattr(self.config, "counter_modules", ()):
+            return frozenset({"counter"})
+        if module in getattr(self.config, "store_modules", ()):
+            return frozenset({"store"})
         return None
 
     def _seed(self, qualname: str) -> dict[str, tuple[int, str]]:
@@ -298,25 +287,17 @@ class EffectAnalysis:
             return out
         return []
 
-    def reach(self, roots: list[str]) -> dict[str, str | None]:
-        """Breadth-first reachability over resolved call edges: each
-        function reached from ``roots`` → the caller that first reached
-        it (``None`` for a root).  :meth:`chain` reads a witness off it."""
-        parents: dict[str, str | None] = {}
-        queue = [root for root in roots if root in self.graph.functions]
-        for root in queue:
-            parents.setdefault(root, None)
-        while queue:
-            current = queue.pop(0)
-            for site in self.graph.scans[current].calls:
-                for callee, _ in self._callee_summary(site):
-                    if callee not in parents:
-                        parents[callee] = current
-                        queue.append(callee)
-        return parents
+    def callees(self, qualname: str) -> list[str]:
+        """The functions ``qualname`` calls through resolved edges, in
+        call-site order: the successors for a :func:`reach` walk."""
+        return [
+            callee
+            for site in self.graph.scans[qualname].calls
+            for callee, _ in self._callee_summary(site)
+        ]
 
     def chain(self, qualname: str, parents: dict[str, str | None]) -> str:
-        """The call chain ``root → … → qualname`` in a :meth:`reach` map."""
+        """The call chain ``root → … → qualname`` in a :func:`reach` map."""
         steps: list[str] = []
         step: str | None = qualname
         while step is not None:
@@ -338,30 +319,30 @@ class EffectAnalysis:
             self.summaries[qualname] = frozenset(seeds)
             for atom, (line, detail) in seeds.items():
                 self.provenance[(qualname, atom)] = ("seed", line, detail)
-        changed = True
-        while changed:
-            changed = False
-            for qualname in order:
-                if self._declared_summary(qualname) is not None:
-                    continue
-                current = self.summaries[qualname]
-                grown = set(current)
-                scan = self.graph.scans[qualname]
-                for site in scan.calls:
-                    for callee, summary in self._callee_summary(site):
-                        for callee_atom in sorted(summary):
-                            translated = self._translate(
-                                callee_atom, site, callee
+        until_stable(order, self._propagate)
+
+    def _propagate(self, qualname: str) -> bool:
+        """Join the callees' translated summaries into ``qualname``'s;
+        true when it grew.  The first edge to bring an atom is its
+        provenance."""
+        if self._declared_summary(qualname) is not None:
+            return False
+        current = self.summaries[qualname]
+        grown = set(current)
+        for site in self.graph.scans[qualname].calls:
+            for callee, summary in self._callee_summary(site):
+                for callee_atom in sorted(summary):
+                    translated = self._translate(callee_atom, site, callee)
+                    for atom in sorted(translated):
+                        if atom not in grown:
+                            grown.add(atom)
+                            self.provenance[(qualname, atom)] = (
+                                "call", site.line, callee, callee_atom,
                             )
-                            for atom in sorted(translated):
-                                if atom not in grown:
-                                    grown.add(atom)
-                                    self.provenance[(qualname, atom)] = (
-                                        "call", site.line, callee, callee_atom,
-                                    )
-                if len(grown) != len(current):
-                    self.summaries[qualname] = frozenset(grown)
-                    changed = True
+        if len(grown) == len(current):
+            return False
+        self.summaries[qualname] = frozenset(grown)
+        return True
 
     def _translate(
         self, atom: str, site: CallSite, callee: str

@@ -10,8 +10,11 @@ Small, dependency-free static-analysis plumbing:
 * :class:`Checker` is the rule interface; concrete rules live in the
   sibling modules and are assembled by :func:`all_checkers`;
 * inline suppressions — a ``# repro-lint: allow[rule] reason`` comment
-  on (or directly above) the flagged line — acknowledge a finding in
-  the source itself, next to the code that needs the exemption.
+  on the flagged line, or on a comment line of its own directly above
+  it — acknowledge a finding in the source itself, next to the code
+  that needs the exemption;
+* :func:`until_stable` and :func:`reach` are the one fixed-point driver
+  and the one breadth-first walk every analysis builds on.
 
 Everything is deterministic: modules, classes and findings are visited
 and emitted in sorted order.
@@ -25,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 __all__ = [
     "Checker",
@@ -38,10 +41,49 @@ __all__ = [
     "apply_baseline",
     "default_config",
     "load_baseline",
+    "pin_lines",
+    "reach",
     "run_checkers",
     "select_checkers",
+    "until_stable",
     "write_baseline",
 ]
+
+_T = TypeVar("_T")
+
+
+# ---------------------------------------------------------------------------
+# Fixed points and graph walks.
+
+
+def until_stable(items: Sequence[_T], step: Callable[[_T], object]) -> None:
+    """Call ``step(item)`` on every item, in order, until a whole pass
+    returns no true value.
+
+    A round-robin driver, not a worklist: every pass visits ``items`` in
+    the given order, so the first writer of a fact (an effect atom's
+    provenance, a lock set) is the same on every run.
+    """
+    # A list, not a generator: any() must not cut a pass short.
+    while any([step(item) for item in items]):
+        pass
+
+
+def reach(
+    roots: Iterable[str], successors: Callable[[str], Iterable[str]]
+) -> dict[str, str | None]:
+    """Breadth-first search from ``roots``: every node reached → the node
+    that first reached it (``None`` for a root), in discovery order.
+    ``successors`` must yield in a deterministic order (sorted, or source
+    order): reports print the first parent as a witness."""
+    parents: dict[str, str | None] = dict.fromkeys(roots)
+    queue = list(parents)
+    for current in queue:
+        for node in successors(current):
+            if node not in parents:
+                parents[node] = current
+                queue.append(node)
+    return parents
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +137,10 @@ class SourceModule:
     text: str = field(repr=False)
     tree: ast.Module = field(repr=False)
     is_package: bool = False
+    lines: list[str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lines", self.text.splitlines())
 
     def package_parts(self) -> tuple[str, ...]:
         """The dotted path of the package *containing* this module."""
@@ -287,19 +329,22 @@ class Codebase:
                 )
         return self._classes
 
+    def mro(self, cls: str) -> list[str]:
+        """``cls`` and its bases, breadth-first in declaration order (bases
+        outside the codebase are listed but not expanded)."""
+        classes = self.classes()
+        return list(reach(
+            [cls], lambda name: classes[name].bases if name in classes else ()
+        ))
+
     def subclasses(self, root: str) -> set[str]:
         """Transitive subclasses of ``root`` (qualified names; root excluded)."""
         children: dict[str, set[str]] = {}
         for info in self.classes().values():
             for base in info.bases:
                 children.setdefault(base, set()).add(info.qualname)
-        found: set[str] = set()
-        stack = [root]
-        while stack:
-            for child in children.get(stack.pop(), ()):
-                if child not in found:
-                    found.add(child)
-                    stack.append(child)
+        found = set(reach([root], lambda cls: sorted(children.get(cls, ()))))
+        found.discard(root)
         return found
 
     def concrete_subclasses(self, root: str, home_module: str) -> set[str]:
@@ -585,18 +630,25 @@ def select_checkers(
 _SUPPRESS_RE = re.compile(r"repro-lint:\s*allow\[([^\]]+)\]")
 
 
+def pin_lines(module: SourceModule, line: int) -> list[str]:
+    """The source lines a ``repro-lint:`` pin for ``line`` may sit on:
+    ``line`` itself, then the line above when it holds only a comment
+    (a pin trailing code belongs to that code's line alone)."""
+    lines = module.lines
+    found = []
+    if 1 <= line <= len(lines):
+        found.append(lines[line - 1])
+    if 2 <= line <= len(lines) + 1 and lines[line - 2].lstrip().startswith("#"):
+        found.append(lines[line - 2])
+    return found
+
+
 def _is_suppressed(finding: Finding, codebase: Codebase) -> bool:
     """True when an inline allow-comment covers the finding's rule."""
     module = codebase.module_for_path(finding.path)
     if module is None:
         return False
-    lines = module.lines
-    candidates = []
-    if 1 <= finding.line <= len(lines):
-        candidates.append(lines[finding.line - 1])
-    if 2 <= finding.line <= len(lines) + 1:
-        candidates.append(lines[finding.line - 2])
-    for text in candidates:
+    for text in pin_lines(module, finding.line):
         match = _SUPPRESS_RE.search(text)
         if match is None:
             continue

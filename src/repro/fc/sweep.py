@@ -1077,7 +1077,7 @@ class SweepProgram:
         # repro-lint: domain[bitset-pool:sweep] the word's universe or the caller's pool, which may hold non-factors
         candidates = ctx.table.mask if pool is None else pool
         decided, accepted = self._filter_memo.get(spec.index, (0, 0))
-        fresh = candidates & ~decided
+        fresh = candidates & ~decided  # repro-lint: allow[effects.memo-key-completeness] the mask memo accumulates: decided grows with the candidates seen, and each bit of accepted depends only on (atom, id)
         if fresh:
             name = spec.names[0]
             texts = self.family.strings

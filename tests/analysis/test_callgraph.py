@@ -172,6 +172,9 @@ def test_declared_effects_comment_is_parsed(tmp_path):
             # repro-lint: effects[io, nondeterministic] probes the host
             def probe():
                 return object()
+            HOOK = print  # repro-lint: effects[pure] names this line only
+            def unpinned():
+                return HOOK()
             """,
     })
     graph = CallGraph(codebase)
@@ -179,3 +182,4 @@ def test_declared_effects_comment_is_parsed(tmp_path):
     assert graph.scans["fixpkg.low.base.probe"].declared == frozenset(
         {"io", "nondeterministic"}
     )
+    assert graph.scans["fixpkg.low.base.unpinned"].declared is None

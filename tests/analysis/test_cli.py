@@ -4,8 +4,10 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import repro.analysis.cli as cli_module
@@ -235,12 +237,33 @@ def test_list_rules(tmp_path, monkeypatch, capsys):
         assert rule in out
 
 
-def test_repo_head_is_lint_clean():
-    """The committed tree itself must pass `python -m repro lint`."""
+ALLOW_PIN = re.compile(r"repro-lint:\s*allow\[([^\]]+)\]")
+
+
+def allow_pins(src_root: Path):
+    """(relpath, line, rules, stands alone) for every allow comment."""
+    for path in sorted(src_root.rglob("*.py")):
+        relpath = path.relative_to(src_root).as_posix()
+        with tokenize.open(path) as handle:
+            for token in tokenize.generate_tokens(handle.readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = ALLOW_PIN.search(token.string)
+                if match is None:
+                    continue
+                rules = {rule.strip() for rule in match.group(1).split(",")}
+                alone = not token.line[: token.start[1]].strip()
+                yield relpath, token.start[0], rules, alone
+
+
+def test_repo_head_is_lint_clean(tmp_path):
+    """The committed tree itself must pass `python -m repro lint`, and
+    every inline allow pin in it must suppress a finding."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    report = tmp_path / "lint-report.json"
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "lint"],
+        [sys.executable, "-m", "repro", "lint", "--json", str(report)],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
@@ -249,3 +272,15 @@ def test_repo_head_is_lint_clean():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "ok: 0 finding(s)" in result.stdout
+    suppressed = json.loads(report.read_text(encoding="utf-8"))["suppressed"]
+    stale = []
+    for relpath, line, rules, alone in allow_pins(REPO_ROOT / "src"):
+        covered = (line, line + 1) if alone else (line,)
+        if not any(
+            finding["path"] == relpath
+            and finding["line"] in covered
+            and (finding["rule"] in rules or "*" in rules)
+            for finding in suppressed
+        ):
+            stale.append(f"{relpath}:{line} allow[{', '.join(sorted(rules))}]")
+    assert stale == [], "allow pins that suppress no finding"

@@ -144,6 +144,32 @@ def test_inline_suppression_moves_finding_to_suppressed(tmp_path):
     assert suppressed[0].rule == "determinism"
 
 
+def test_trailing_allow_pin_covers_only_its_own_line(tmp_path):
+    # A pin trailing code belongs to that line; only a pin on a comment
+    # line of its own also covers the line below it.
+    codebase, config, _ = run(
+        tmp_path,
+        """\
+        import time
+
+
+        def stamps():
+            first = time.time()  # repro-lint: allow[determinism] metadata
+            return first, time.time()
+        """,
+    )
+    active, suppressed = run_checkers(
+        config, checkers=[DeterminismChecker()]
+    )
+    path = "fixpkg/high/solver.py"
+    assert [f.line for f in suppressed] == [
+        line_of(codebase, path, "first = time.time()")
+    ]
+    assert [f.line for f in active] == [
+        line_of(codebase, path, "return first, time.time()")
+    ]
+
+
 def test_entropy_reads_are_flagged(tmp_path):
     _, _, findings = run(
         tmp_path,

@@ -6,6 +6,7 @@ return domains and recorded events.  The rule-level behaviour (findings,
 suppression, scoping) lives in ``test_domainrules.py``.
 """
 
+import repro.analysis.domains as domains_module
 from repro.analysis.domains import DomainAnalysis, parse_spec
 
 from tests.analysis.util import build
@@ -185,6 +186,90 @@ def test_return_domains_propagate_through_calls(tmp_path):
     assert (
         analysis.returns["fixpkg.low.base.collect"] == "iter[intern:sweep]"
     )
+
+
+def test_return_inference_runs_to_stability(tmp_path):
+    # Sorted order visits every wrapper before the function it wraps, so
+    # each pass types one more wrapper: the outermost needs a sixth pass.
+    analysis = analysis_of(tmp_path, {
+        "fixpkg/low/base.py": """\
+            def a_outer(text):
+                return b_wrap(text)
+
+
+            def b_wrap(text):
+                return c_wrap(text)
+
+
+            def c_wrap(text):
+                return d_wrap(text)
+
+
+            def d_wrap(text):
+                return e_wrap(text)
+
+
+            def e_wrap(text):
+                return f_mint(text)
+
+
+            # repro-lint: domain[returns=intern:sweep] the mint
+            def f_mint(text):
+                return 0
+
+
+            # repro-lint: domain[returns=slot] the slot mint
+            def g_slot(name):
+                return 0
+
+
+            def mixes(text, name):
+                return a_outer(text) == g_slot(name)
+            """,
+    })
+    for wrapper in ("a_outer", "b_wrap", "c_wrap", "d_wrap", "e_wrap"):
+        assert analysis.returns[f"fixpkg.low.base.{wrapper}"] == "intern:sweep"
+    assert events_of(analysis, "fixpkg.low.base.mixes") == [(
+        "mix",
+        "compares a intern:sweep id with a slot id "
+        "(a_outer(text) == g_slot(name))",
+    )]
+
+
+def test_return_inference_loses_a_falling_domain(tmp_path, monkeypatch):
+    # ``member_mask() & pick()`` is the universe while pick() is plain,
+    # and falls to plain once pick() reads an intern id out of it, which
+    # makes pick() plain again.  Without the rising rule the passes
+    # would alternate for ever; with it both are lost by the third pass,
+    # well inside the 3n + 1 bound the rule guarantees.
+    def bounded(items, step):
+        for _ in range(3 * len(items) + 1):
+            if not any([step(item) for item in items]):
+                return
+        raise AssertionError("the passes did not stabilise")
+
+    monkeypatch.setattr(domains_module, "until_stable", bounded)
+    analysis = analysis_of(tmp_path, {
+        "fixpkg/low/bits.py": BITSET,
+        "fixpkg/low/base.py": """\
+            from fixpkg.low import bits
+
+
+            # repro-lint: domain[returns=bitset-universe:sweep] member mask
+            def member_mask():
+                return bits.declare_universe(3, "sweep")
+
+
+            def pick():
+                return min(bits.iter_ids(restrict()))
+
+
+            def restrict():
+                return member_mask() & pick()
+            """,
+    })
+    assert "fixpkg.low.base.pick" not in analysis.returns
+    assert "fixpkg.low.base.restrict" not in analysis.returns
 
 
 def test_shift_mints_pool_and_intersection_restores_universe(tmp_path):

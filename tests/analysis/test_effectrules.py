@@ -267,6 +267,28 @@ def test_aliased_self_memo_is_checked(tmp_path):
     assert "'clock'" in found[0].message
 
 
+def test_tuple_unpacked_memo_read_is_checked(tmp_path):
+    # The unpacked names come from the memo itself; the local computed
+    # from the per-call context does not.
+    found = findings_of(MemoKeyCompletenessChecker(), tmp_path, {
+        "fixpkg/low/base.py": """\
+            class Family:
+                def __init__(self):
+                    self._memo = {}
+
+                def tally(self, key, ctx):
+                    weight = len(ctx.view)
+                    hits, total = self._memo.get(key, (0, 0))
+                    self._memo[key] = (hits + 1, total + weight)
+                    return hits
+            """,
+    }, **MEMO)
+    assert [f.message for f in found] == [
+        "memo self._memo stores a value that depends on 'weight', which "
+        "is not derivable from the key key"
+    ]
+
+
 # -- effects.worker-isolation -----------------------------------------------
 
 
