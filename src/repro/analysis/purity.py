@@ -64,21 +64,19 @@ class LruCachePurityChecker(Checker):
         self, codebase: Codebase, config: LintConfig
     ) -> Iterator[Finding]:
         for module in codebase.iter_modules((config.package,)):
-            nested: set[int] = set()
-            for node in ast.walk(module.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    for child in ast.walk(node):
-                        if child is not node and isinstance(
-                            child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                        ):
-                            nested.add(id(child))
-            for node in ast.walk(module.tree):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if not _is_lru_cached(node):
-                    continue
-                yield from self._check_site(
-                    codebase, module, node, nested=id(node) in nested
+            # One walk per module; each node carries whether it lies
+            # inside a function (its body, decorators or defaults).
+            stack: list[tuple[ast.AST, bool]] = [(module.tree, False)]
+            while stack:
+                node, in_function = stack.pop()
+                is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                if is_def and _is_lru_cached(node):
+                    yield from self._check_site(
+                        codebase, module, node, nested=in_function
+                    )
+                stack.extend(
+                    (child, in_function or is_def)
+                    for child in ast.iter_child_nodes(node)
                 )
 
     def _check_site(

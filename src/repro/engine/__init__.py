@@ -13,10 +13,11 @@ collection efficiently:
 * :mod:`repro.engine.cache`      — the content-addressed on-disk result
   cache under ``.repro-cache/`` (key = SHA-256 of task name +
   canonicalised args + code-version salt + dependency keys);
-* :mod:`repro.engine.executor`   — the scheduler: inline execution for
-  ``jobs=1``, a multiprocessing worker pool otherwise, with per-task
-  wall-time metrics, single-task failure isolation and deterministic
-  result ordering;
+* :mod:`repro.engine.executor`   — the scheduler: one loop that runs
+  units inline for ``jobs=1`` and on a ``concurrent.futures`` process
+  pool otherwise, with per-task wall-time metrics, single-task failure
+  isolation, deterministic result ordering, and ``BrokenProcessPool``
+  (not a hang) when a worker dies;
 * :mod:`repro.engine.primitives` — pure, picklable entry points around
   ``ef.solver`` / ``ef.equivalence`` / ``ef.synthesis`` /
   ``core.witnesses``;

@@ -1,13 +1,16 @@
 """The engine scheduler: topological fan-out over a worker pool.
 
 ``run_tasks`` takes a registry (or a plain spec mapping), resolves the
-dependency closure of the requested tasks, and executes them:
+dependency closure of the requested tasks, and admits each task, once
+its dependencies are done, in topological order.  One loop runs the
+units a task expands to:
 
-* in-process, in topological order, when ``jobs == 1`` (deterministic
-  and debugger-friendly);
-* on a ``multiprocessing`` pool otherwise — every task whose
-  dependencies are satisfied is in flight simultaneously, up to
-  ``jobs`` workers.
+* in-process, each completed at once, when ``jobs == 1``
+  (deterministic and debugger-friendly: a sharded task's shards run in
+  index order, then its merge, all before the next task);
+* on a ``concurrent.futures`` process pool otherwise — every ready
+  unit is in flight simultaneously, up to ``jobs`` workers, and each
+  batch of finished units is completed in unit-name order.
 
 Intra-task sharding: a spec that declares a :class:`~repro.engine.spec.
 ShardPlan` is expanded at schedule time into N *shard units* plus one
@@ -27,12 +30,13 @@ transitive dependents complete as ``skipped`` records.  A failed shard
 fails its task the same way.  Results are JSON-roundtripped before
 caching so cold and warm runs return bit-identical payloads, and the
 final record list is sorted by task name regardless of completion
-order.
+order.  A worker process that dies (``os._exit``, a signal) breaks the
+pool: ``run_tasks`` then raises ``BrokenProcessPool`` naming the units
+in flight, where it used to wait forever.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
@@ -52,9 +56,6 @@ from repro.engine.spec import (
 )
 
 __all__ = ["EngineReport", "run_tasks"]
-
-#: Seconds between completion polls of the worker pool.
-_POLL_INTERVAL = 0.005
 
 _DELTA_FIELDS = ("lru_delta", "solver_delta", "store_delta")
 
@@ -180,16 +181,16 @@ def _execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
     return record
 
 
-def _skipped_record(name: str, failed_deps: list[str]) -> dict[str, Any]:
+def _error_record(
+    name: str, status: str, error_type: str, message: str, trace: str | None = None
+) -> dict[str, Any]:
+    """The record of a task skipped for a failed dependency, or failed in
+    its shard planner or its shards: it carries no result or deltas."""
     return {
         "task": name,
-        "status": "skipped",
+        "status": status,
         "result": None,
-        "error": {
-            "type": "SkippedDependency",
-            "message": f"dependency failed or was skipped: {failed_deps}",
-            "traceback": None,
-        },
+        "error": {"type": error_type, "message": message, "traceback": trace},
         "wall_time_s": 0.0,
         "args_bytes": 0,
         "result_bytes": 0,
@@ -232,7 +233,6 @@ class _ShardState:
         "partials",
         "shard_records",
         "pending",
-        "failed",
     )
 
     def __init__(
@@ -249,7 +249,6 @@ class _ShardState:
         self.partials: list[Any] = [None] * len(descriptors)
         self.shard_records: dict[int, dict[str, Any]] = {}
         self.pending: set[int] = set()
-        self.failed = False
 
     def attribution(self) -> list[dict[str, Any]]:
         """Per-shard summary rows for the merge record / run report."""
@@ -290,7 +289,7 @@ class _ShardState:
 
 
 def _worker_init(store: ArtifactStore | None) -> None:
-    """Pool initializer: arm process-global state in every worker.
+    """Arm process-global state in every worker process as it starts.
 
     Under ``fork`` this is belt-and-braces (workers inherit the parent's
     activated store; the metrics lock re-arms itself via its pid
@@ -302,23 +301,53 @@ def _worker_init(store: ArtifactStore | None) -> None:
         store_runtime.activate(store)
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, inherits the imported solver stack).
+def _process_pool(jobs: int, store: ArtifactStore | None) -> Any:
+    """A ``ProcessPoolExecutor`` of ``jobs`` workers, started by fork
+    (cheap, inherits the imported solver stack).
 
     ``REPRO_MP_CONTEXT`` overrides the start method (``spawn`` /
     ``forkserver``), for platforms where fork is unavailable or unsafe
-    and for the spawn-mode test suite.  The value only picks how worker
-    processes start; payloads, results and cache keys are identical
-    under every method, so it cannot make results irreproducible.
+    and for the spawn-mode test suite; an unknown method raises
+    ``ValueError``.  The value only picks how worker processes start;
+    payloads, results and cache keys are identical under every method,
+    so it cannot make results irreproducible.  The imports live here so
+    that a serial run, and the engine's import, never load them.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # repro-lint: allow[determinism] config-only env read at the pool boundary
     override = os.environ.get("REPRO_MP_CONTEXT")
     if override:
-        return multiprocessing.get_context(override)
+        context = multiprocessing.get_context(override)
+    else:
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover — non-POSIX fallback
+            context = multiprocessing.get_context()
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=context,
+        initializer=_worker_init,
+        initargs=(store,),
+    )
+
+
+def _completed(in_flight: dict[Any, str]) -> list[tuple[str, dict[str, Any]]]:
+    """Wait for pooled units to finish; pop them from ``in_flight`` as
+    ``(unit, record)`` pairs in unit-name order.  A dead worker fails
+    every unit in flight with ``BrokenProcessPool``, re-raised naming them.
+    """
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    units = sorted(in_flight.values())
+    done = wait(in_flight, return_when=FIRST_COMPLETED).done
+    finished = sorted((in_flight.pop(future), future) for future in done)
     try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX fallback
-        return multiprocessing.get_context()
+        return [(unit, future.result()) for unit, future in finished]
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool(f"{exc} Units in flight: {units}") from exc
 
 
 def run_tasks(
@@ -383,23 +412,31 @@ def run_tasks(
     # process typically registers nothing), so the per-record deltas are
     # merged here in the parent.  Sharded tasks contribute exactly once:
     # their shard deltas are folded into the merge record before it is
-    # absorbed.
+    # committed.
     unit_totals: dict[str, dict[str, Any]] = {
         fieldname: {} for fieldname in _DELTA_FIELDS
     }
     seen_registered: set[str] = set()
     run_before = metrics.snapshot()
 
-    def absorb(record: dict[str, Any]) -> None:
-        """Fold one executed record's deltas into the run accumulators."""
+    def finish(name: str, record: dict[str, Any]) -> None:
+        """Commit a task's record and fold its deltas into the run
+        accumulators (a hit's or a skip's are empty)."""
+        records[name] = record
         seen_registered.update(record.get("lru_registered", ()))
         for fieldname in _DELTA_FIELDS:
             _merge_delta(unit_totals[fieldname], record.get(fieldname, {}))
-
-    def finish(name: str, record: dict[str, Any]) -> None:
-        records[name] = record
         if on_record is not None:
             on_record(record)
+
+    def summarise(name: str, count: int, **extra: Any) -> None:
+        """Enter a sharded task of ``count`` shards in the shard summary."""
+        shard_summary[name] = {
+            "count": count,
+            "effective_width": count,
+            "clamped": count < shard_width,
+            **extra,
+        }
 
     def plan_shards(
         spec: TaskSpec, dep_keys: dict[str, str]
@@ -453,7 +490,8 @@ def run_tasks(
             if records[dep]["status"] != "ok"
         ]
         if failed:
-            finish(name, _skipped_record(name, failed))
+            message = f"dependency failed or was skipped: {failed}"
+            finish(name, _error_record(name, "skipped", "SkippedDependency", message))
             return []
         dep_keys = {
             param: keys[dep] for param, dep in sorted(spec.deps.items())
@@ -470,13 +508,10 @@ def run_tasks(
             try:
                 plan = plan_shards(spec, dep_keys)
             except Exception as exc:  # noqa: BLE001 — isolation, as for tasks
-                record = _skipped_record(name, [])
-                record["status"] = "error"
-                record["error"] = {
-                    "type": type(exc).__name__,
-                    "message": f"shard planner failed: {exc}",
-                    "traceback": traceback.format_exc(),
-                }
+                message = f"shard planner failed: {exc}"
+                record = _error_record(
+                    name, "error", type(exc).__name__, message, traceback.format_exc()
+                )
                 finish(name, record)
                 return []
         if plan is None:
@@ -500,12 +535,7 @@ def run_tasks(
         cached = cache.load(storage_key)
         if cached is not None and cached.get("status") == "ok":
             finish(name, _zeroed_hit(cached))
-            shard_summary[name] = {
-                "count": len(descriptors),
-                "cache": "hit",
-                "effective_width": len(descriptors),
-                "clamped": len(descriptors) < shard_width,
-            }
+            summarise(name, len(descriptors), cache="hit")
             return []
         state = _ShardState(descriptors, dep_results, storage_key, shard_keys)
         shard_states[name] = state
@@ -537,71 +567,12 @@ def run_tasks(
             return [merge_unit(name)]
         return units
 
-    def seal_task(name: str, record: dict[str, Any]) -> None:
+    def seal(record: dict[str, Any], key: str) -> None:
+        """Stamp an executed unit's record with its key; store it if ok."""
         record["cache"] = "miss" if cache.enabled else "bypass"
-        record["key"] = keys[name]
-        absorb(record)
+        record["key"] = key
         if record["status"] == "ok":
-            cache.store(keys[name], record)
-        finish(name, record)
-
-    def seal_merge(name: str, record: dict[str, Any]) -> None:
-        state = shard_states[name]
-        state.fold_into(record)
-        record["cache"] = "miss" if cache.enabled else "bypass"
-        record["key"] = state.storage_key
-        record["shards"] = state.attribution()
-        shard_summary[name] = {
-            "count": len(state.descriptors),
-            "effective_width": len(state.descriptors),
-            "clamped": len(state.descriptors) < shard_width,
-            "merge_wall_s": record["wall_time_s"],
-            "shard_walls_s": [row["wall_time_s"] for row in record["shards"]],
-            "shard_cache": [row["cache"] for row in record["shards"]],
-        }
-        absorb(record)
-        if record["status"] == "ok":
-            cache.store(state.storage_key, record)
-        finish(name, record)
-
-    def fail_shards(name: str) -> None:
-        """Commit an error record for a task whose shard(s) failed."""
-        state = shard_states[name]
-        failed = [
-            index
-            for index in sorted(state.shard_records)
-            if state.shard_records[index]["status"] != "ok"
-        ]
-        first = state.shard_records[failed[0]]["error"]
-        record = {
-            "task": name,
-            "status": "error",
-            "result": None,
-            "error": {
-                "type": "ShardFailure",
-                "message": (
-                    f"shard(s) {failed} of {len(state.descriptors)} failed: "
-                    f"{first['type']}: {first['message']}"
-                ),
-                "traceback": first["traceback"],
-            },
-            "wall_time_s": 0.0,
-            "args_bytes": 0,
-            "result_bytes": 0,
-            "cache": "none",
-            **_no_deltas(),
-        }
-        state.fold_into(record)
-        record["shards"] = state.attribution()
-        shard_summary[name] = {
-            "count": len(state.descriptors),
-            "effective_width": len(state.descriptors),
-            "clamped": len(state.descriptors) < shard_width,
-            "failed": failed,
-            "shard_walls_s": [row["wall_time_s"] for row in record["shards"]],
-        }
-        absorb(record)
-        finish(name, record)
+            cache.store(key, record)
 
     def complete(
         unit: str, record: dict[str, Any]
@@ -609,70 +580,91 @@ def run_tasks(
         """Commit one executed unit; return follow-up units to run."""
         kind, name, index = unit_info.pop(unit)
         if kind == "task":
-            seal_task(name, record)
-            return []
-        if kind == "merge":
-            seal_merge(name, record)
+            seal(record, keys[name])
+            finish(name, record)
             return []
         state = shard_states[name]
-        record["cache"] = "miss" if cache.enabled else "bypass"
-        record["key"] = state.shard_keys[index]
-        if record["status"] == "ok":
-            cache.store(state.shard_keys[index], record)
+        if kind == "shard":
+            seal(record, state.shard_keys[index])
+            state.shard_records[index] = record
             state.partials[index] = record["result"]
+            state.pending.discard(index)
+            if state.pending:
+                return []
+            failed = [
+                shard
+                for shard in sorted(state.shard_records)
+                if state.shard_records[shard]["status"] != "ok"
+            ]
+            if not failed:
+                return [merge_unit(name)]
+            # The last shard is in and some failed: the task's record is
+            # a ShardFailure, committed below like a merge record.
+            first = state.shard_records[failed[0]]["error"]
+            message = (
+                f"shard(s) {failed} of {len(state.descriptors)} failed: "
+                f"{first['type']}: {first['message']}"
+            )
+            record = _error_record(
+                name, "error", "ShardFailure", message, first["traceback"]
+            )
+        state.fold_into(record)
+        rows = record["shards"] = state.attribution()
+        walls = [row["wall_time_s"] for row in rows]
+        if kind == "merge":
+            summarise(
+                name,
+                len(state.descriptors),
+                merge_wall_s=record["wall_time_s"],
+                shard_walls_s=walls,
+                shard_cache=[row["cache"] for row in rows],
+            )
+            seal(record, state.storage_key)
         else:
-            state.failed = True
-        state.shard_records[index] = record
-        state.pending.discard(index)
-        if state.pending:
-            return []
-        if state.failed:
-            fail_shards(name)
-            return []
-        return [merge_unit(name)]
+            summarise(
+                name, len(state.descriptors), failed=failed, shard_walls_s=walls
+            )
+        finish(name, record)
+        return []
+
+    #: Pooled units in flight: future → unit id.
+    in_flight: dict[Any, str] = {}
+
+    def submit(pool: Any, units: list[tuple[str, dict[str, Any]]]) -> None:
+        """Run units inline and complete them (and their follow-ups) at
+        once when there is no pool; submit them to the pool otherwise.
+        ``_execute_payload`` is looked up here, at submit time, so a
+        replacement installed on the module (a tracer) runs either way.
+        """
+        for unit, payload in units:
+            if pool is None:
+                submit(pool, complete(unit, _execute_payload(payload)))
+            else:
+                in_flight[pool.submit(_execute_payload, payload)] = unit
 
     # Activate the artifact store in the parent *before* the pool
     # forks: workers inherit the global and hydrate from the shared
     # backend (sqlite connections re-open lazily per pid).
     previous_store = store_runtime.activate(store) if store is not None else None
+    pool = None
     try:
-        if jobs == 1:
-            for name in order:
-                queue = prepare(name)
-                while queue:
-                    unit, payload = queue.pop(0)
-                    queue.extend(complete(unit, _execute_payload(payload)))
-        else:
-            ctx = _pool_context()
-            with ctx.Pool(
-                processes=jobs, initializer=_worker_init, initargs=(store,)
-            ) as pool:
-                in_flight: dict[str, Any] = {}
-                submitted: set[str] = set()
-                while len(records) < len(specs):
-                    for name in order:
-                        if name in records or name in submitted:
-                            continue
-                        if any(dep not in records for dep in specs[name].dep_tasks):
-                            continue
-                        submitted.add(name)
-                        for unit, payload in prepare(name):
-                            in_flight[unit] = pool.apply_async(
-                                _execute_payload, (payload,)
-                            )
-                    done_now = [u for u, a in in_flight.items() if a.ready()]
-                    if not done_now:
-                        if in_flight:
-                            time.sleep(_POLL_INTERVAL)
-                        continue
-                    for unit in sorted(done_now):
-                        for follow_up, payload in complete(
-                            unit, in_flight.pop(unit).get()
-                        ):
-                            in_flight[follow_up] = pool.apply_async(
-                                _execute_payload, (payload,)
-                            )
+        if jobs > 1:
+            pool = _process_pool(jobs, store)
+        unadmitted = list(order)
+        while True:
+            for name in list(unadmitted):
+                if all(dep in records for dep in specs[name].dep_tasks):
+                    unadmitted.remove(name)
+                    submit(pool, prepare(name))
+            if not in_flight:
+                break
+            for unit, record in _completed(in_flight):
+                submit(pool, complete(unit, record))
     finally:
+        if pool is not None:
+            # Drop queued units on the way out (a dead worker, a raising
+            # on_record, Ctrl-C) instead of running them first.
+            pool.shutdown(cancel_futures=True)
         if store is not None:
             store_runtime.deactivate(previous_store)
 

@@ -6,6 +6,7 @@ resolves tasks from dotted paths — including inside worker processes.
 
 from __future__ import annotations
 
+import os
 from typing import Any
 
 
@@ -56,6 +57,11 @@ def interned_probe(word: str) -> int:
 
 def boom() -> None:
     raise RuntimeError("intentional failure")
+
+
+def die() -> None:
+    # Ends the executing process outright: no exception, no result.
+    os._exit(3)
 
 
 # -- sharded tasks -----------------------------------------------------------

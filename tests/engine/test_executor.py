@@ -1,10 +1,20 @@
 """Scheduler semantics: dep injection, isolation, caching, parallelism."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine import ResultCache, TaskRegistry, run_tasks
 
 TASKFNS = "tests.engine.taskfns"
+
+#: The checkout root: ``src`` for ``repro``, and the root itself for the
+#: ``tests.engine.taskfns`` paths a fresh interpreter must resolve.
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _registry() -> TaskRegistry:
@@ -161,6 +171,79 @@ def test_parallel_failure_isolation(tmp_path, monkeypatch):
     registry.add("unrelated", f"{TASKFNS}:const", args={"value": 7})
     report = run_tasks(registry, jobs=2, cache=ResultCache(root=tmp_path))
     assert report.counts() == {"ok": 1, "error": 1, "skipped": 1}
+
+
+DEAD_WORKER = f"""
+import os
+from concurrent.futures.process import BrokenProcessPool
+
+from repro.engine import ResultCache, TaskRegistry, run_tasks
+
+# Four cores, so jobs=2 is not capped to an inline run (where the exit
+# would end this script instead of a worker).
+os.cpu_count = lambda: 4
+registry = TaskRegistry()
+registry.add("dies", "{TASKFNS}:die")
+registry.add("after", "{TASKFNS}:double", deps={{"n": "dies"}})
+registry.add("other", "{TASKFNS}:const", args={{"value": 7}})
+try:
+    run_tasks(registry, jobs=2, cache=ResultCache(enabled=False))
+except BrokenProcessPool as exc:
+    print("BrokenProcessPool:", exc)
+"""
+
+
+def _run_script(script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter in its own process group;
+    on a 60 s timeout kill the group (workers too) and fail."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(ROOT / "src"), str(ROOT)))}
+    child = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the script was still running after 60 s")
+    assert child.returncode == 0, err
+    return out
+
+
+def test_dead_worker_ends_the_run():
+    """A worker that dies mid-unit breaks the pool: ``run_tasks`` raises
+    ``BrokenProcessPool``, naming the lost unit, instead of waiting
+    forever for its result."""
+    out = _run_script(DEAD_WORKER)
+    assert out.startswith("BrokenProcessPool:"), out
+    assert "'dies'" in out
+
+
+SETUP_IMPORTS = """
+import sys
+
+import repro.engine
+from repro.engine.experiments import build_default_registry
+from repro.store import open_backend
+
+build_default_registry()
+open_backend("sqlite:" + sys.argv[1]).keys()
+print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_setup_imports_no_process_pool_machinery(tmp_path):
+    """Importing the engine, building the DAG and opening a store (a
+    benchmark pass's set-up) loads no pool machinery: only ``jobs > 1``
+    needs it."""
+    out = _run_script(SETUP_IMPORTS, str(tmp_path / "store.sqlite"))
+    assert out.strip() == "[]"
 
 
 def test_jobs_must_be_positive(tmp_path):

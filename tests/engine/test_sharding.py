@@ -181,6 +181,32 @@ def test_parallel_sharded_matches_serial_sharded(tmp_path, monkeypatch):
     assert canonical_json(_stable(serial)) == canonical_json(_stable(pooled))
 
 
+def test_serial_units_run_in_topological_then_shard_order(tmp_path, monkeypatch):
+    """With ``jobs=1`` each task's units run before the next task's: a
+    sharded task's shards in index order, then its merge.  Per-task
+    counters rely on it, since process-wide caches carry from one task
+    to the next."""
+    from repro.engine import executor, topological_order
+
+    ran = []
+    execute = executor._execute_payload
+
+    def logged(payload):
+        ran.append(payload["task"])
+        return execute(payload)
+
+    monkeypatch.setattr(executor, "_execute_payload", logged)
+    registry = _registry()
+    report = run_tasks(registry, jobs=1, shards=2, cache=ResultCache(root=tmp_path))
+    assert report.ok
+    expected = []
+    for name in topological_order(registry.specs()):
+        if name == "ranged":
+            expected += ["ranged#0/2", "ranged#1/2"]
+        expected.append(name)
+    assert ran == expected
+
+
 def test_shards_must_be_positive(tmp_path):
     with pytest.raises(ValueError):
         run_tasks(
@@ -428,6 +454,13 @@ def test_spawn_pool_runs_the_dag(tmp_path, monkeypatch):
         cache=ResultCache(root=tmp_path / "serial"),
     )
     assert canonical_json(_stable(serial)) == canonical_json(_stable(report))
+
+
+def test_unknown_start_method_is_rejected(tmp_path, monkeypatch):
+    _uncap_cpus(monkeypatch)
+    monkeypatch.setenv("REPRO_MP_CONTEXT", "no-such-method")
+    with pytest.raises(ValueError):
+        run_tasks(_registry(), jobs=2, cache=ResultCache(root=tmp_path))
 
 
 def test_sqlite_backend_pickles_without_live_connection(tmp_path):
