@@ -13,9 +13,11 @@ answers all three with a purely syntactic pass:
 * each body is scanned once into a :class:`FunctionScan`: call sites
   with resolved targets where the receiver's type can be inferred
   (annotated dataclass fields, ``__init__`` assignments from annotated
-  parameters or constructor calls, local aliases), store sites and
-  module-global reads, each tagged with a *root* describing where the
-  object came from;
+  parameters or constructor calls, local aliases, annotated locals),
+  store sites and module-global reads, each tagged with a *root*
+  describing where the object came from.  The scanner is the one call
+  resolver: the id-domain flow and the race analysis read its sites
+  and its executed nodes rather than resolving or walking again;
 * nested functions and lambdas are absorbed into their enclosing
   function — their statements contribute to the outer scan, and their
   parameters become plain locals.  A nested ``def`` runs when it is
@@ -180,6 +182,12 @@ def _escaping_defs(
         if loads and all(id(load) in returned for load in loads):
             escaping.append(inner)
     return escaping
+
+
+def bound_name(node: ast.Assign | ast.AnnAssign) -> str:
+    """The local a single-name binding in ``name_assignments`` binds."""
+    target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+    return target.id
 
 
 def _is_staticmethod(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -457,8 +465,11 @@ class _Scanner:
         self.alias_type: dict[str, str] = {}
         self.alias_callable: dict[str, tuple[str, str]] = {}
         self.nodes: list[ast.AST] = []
-        #: single-name assignments (``x = …``), in source order
-        self.name_assignments: list[ast.Assign] = []
+        #: single-name bindings (``x = …``, ``x: T = …``), in source order
+        self.name_assignments: list[ast.Assign | ast.AnnAssign] = []
+        #: each executed call → its site; the id-domain flow and the
+        #: race analysis read call targets here instead of re-resolving
+        self.sites: dict[ast.Call, CallSite] = {}
 
     # -- scanning -----------------------------------------------------------
 
@@ -487,6 +498,7 @@ class _Scanner:
                         site = replace(
                             site, kw_roots=self._kw_roots(child)
                         )
+                    self.sites[child] = site
                     calls.append(site)
             elif isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
@@ -600,25 +612,36 @@ class _Scanner:
                 if isinstance(child, ast.Assign)
                 and len(child.targets) == 1
                 and isinstance(child.targets[0], ast.Name)
+                or isinstance(child, ast.AnnAssign)
+                and child.value is not None
+                and isinstance(child.target, ast.Name)
             ),
             key=lambda child: (child.lineno, child.col_offset),
         )
         for child in self.name_assignments:
-            name = child.targets[0].id
+            name = bound_name(child)
             value = child.value
+            ctype = None
             if isinstance(value, (ast.Name, ast.Attribute, ast.Subscript)):
                 root, ctype = self._resolve_chain(value)
                 self.alias_root[name] = root
-                if ctype is not None:
-                    self.alias_type[name] = ctype
                 callable_target = self._callable_of_chain(value)
                 if callable_target is not None:
                     self.alias_callable[name] = callable_target
             elif isinstance(value, ast.Call):
                 root, ctype = self._call_value(value)
                 self.alias_root[name] = root
-                if ctype is not None:
-                    self.alias_type[name] = ctype
+            if isinstance(child, ast.AnnAssign):
+                # ``server: "ReproServer" = self.server`` — the
+                # annotation types the local where the value cannot.
+                declared = self.graph.resolve_annotation(
+                    self.module, child.annotation
+                )
+                if declared is not None:
+                    self.alias_root.setdefault(name, "local")
+                    ctype = declared
+            if ctype is not None:
+                self.alias_type[name] = ctype
 
     # -- resolution ---------------------------------------------------------
 
@@ -733,7 +756,7 @@ class _Scanner:
 
     def _call_value(self, call: ast.Call) -> tuple[str, str | None]:
         """Root/type of a call *result* (for alias and chain bases)."""
-        site = self._call_site(call)
+        site = self.sites.get(call) or self._call_site(call)
         if site is not None and site.constructor and site.target:
             return "fresh", site.target
         if site is not None and site.target in self.graph.functions:

@@ -68,7 +68,7 @@ import fnmatch
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.callgraph import _unparse_short
+from repro.analysis.callgraph import _unparse_short, bound_name
 from repro.analysis.effects import _MUTATING_METHODS, analysis_for
 from repro.analysis.framework import (
     Checker,
@@ -208,24 +208,20 @@ class ConcurrencyAnalysis:
             if info.cls is None or info.self_name is None:
                 continue
             attrs = self._class_fields.setdefault(info.cls, set())
-            for node in ast.walk(info.node):
-                target = None
-                if isinstance(node, (ast.Assign,)):
-                    for t in node.targets:
-                        if (
-                            isinstance(t, ast.Attribute)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == info.self_name
-                        ):
-                            attrs.add(t.attr)
+            for node in self.graph.scanners[qualname].nodes:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
                 elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                    target = node.target
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == info.self_name
-                    ):
-                        attrs.add(target.attr)
+                    targets = [node.target]
+                else:
+                    continue
+                attrs.update(
+                    target.attr
+                    for target in targets
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == info.self_name
+                )
 
     def owner_class(self, cls: str | None, attr: str) -> str:
         """The base-most class in ``cls``'s MRO declaring ``attr``.
@@ -275,19 +271,7 @@ class ConcurrencyAnalysis:
             module = self.codebase.modules.get(info.module)
             if module is None:
                 continue
-            class_node = next(
-                (
-                    node
-                    for node in ast.walk(module.tree)
-                    if isinstance(node, ast.ClassDef)
-                    and node.lineno == info.line
-                    and node.name == info.name
-                ),
-                None,
-            )
-            if class_node is None:
-                continue
-            for statement in class_node.body:
+            for statement in info.node.body:
                 if isinstance(statement, ast.Assign):
                     ctor = self._ctor_of(module, statement.value)
                     if ctor is None:
@@ -303,7 +287,7 @@ class ConcurrencyAnalysis:
             # Locals assigned from a resource constructor, so that
             # ``conn = sqlite3.connect(...); self._conn = conn`` counts.
             local_ctor: dict[str, str] = {}
-            for node in ast.walk(info.node):
+            for node in self.graph.scanners[qualname].nodes:
                 if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                     continue
                 target = node.targets[0]
@@ -334,7 +318,7 @@ class ConcurrencyAnalysis:
         """Functions that return a known lock (``_lock()`` pattern)."""
         for qualname in sorted(self.graph.functions):
             info = self.graph.functions[qualname]
-            for node in ast.walk(info.node):
+            for node in self.graph.scanners[qualname].nodes:
                 if not isinstance(node, ast.Return) or node.value is None:
                     continue
                 lock = None
@@ -392,7 +376,7 @@ class ConcurrencyAnalysis:
         for node in scanner.name_assignments:
             location = self._expr_location(node.value, scanner, alias)
             if location is not None:
-                alias[node.targets[0].id] = location
+                alias[bound_name(node)] = location
 
         mutations: list[Mutation] = []
         acquisitions: list[Acquisition] = []
@@ -555,29 +539,14 @@ class ConcurrencyAnalysis:
         self, expr: ast.expr, scanner, alias: dict[str, str]
     ) -> str | None:
         """The lock id a ``with`` context expression acquires, if any."""
-        info = scanner.info
         if isinstance(expr, (ast.Name, ast.Attribute)):
             location = self._expr_location(expr, scanner, alias)
-            if location is None:
-                return None
             if location in self.module_locks or location in self.field_locks:
                 return location
             return None
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            target: str | None = None
-            if isinstance(func, ast.Name):
-                root, _ = scanner._name_root_type(func.id)
-                if root.startswith("func:"):
-                    target = root[len("func:"):]
-            elif (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == info.self_name
-            ):
-                target = self.graph.resolve_method(info.cls, func.attr)
-            if target is not None:
-                return self.lock_accessors.get(target)
+        site = scanner.sites.get(expr)
+        if site is not None and site.target is not None:
+            return self.lock_accessors.get(site.target)
         return None
 
     # -- reachability ------------------------------------------------------

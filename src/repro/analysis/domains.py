@@ -188,8 +188,14 @@ def _index_of(spec: str) -> str | None:
 
 
 def _join(left: str, right: str) -> str:
-    """Control-flow join: equal domains survive, anything else drops."""
-    return left if left == right else PLAIN
+    """Control-flow join: equal domains survive, and a pool meeting its
+    own universe stays a pool (either path may hand back the
+    unrestricted mask); anything else drops to ``plain``."""
+    if left == right:
+        return left
+    if _is_mask(left) and _is_mask(right) and _role(left) == _role(right):
+        return f"bitset-pool:{_role(left)}"
+    return PLAIN
 
 
 def _rises(previous: str, inferred: str) -> bool:
@@ -245,21 +251,24 @@ class _Flow:
 class _FlowScan:
     """One walk over a function body, tracking local id domains.
 
-    Flow-sensitivity is per-statement in source order; loop bodies are
-    walked twice so loop-carried domains stabilise.  Branches share one
+    Flow-sensitivity is per-statement in source order, over one map
+    (local name → domain); the recording run walks the body twice so
+    loop-carried domains stabilise.  An ``if``'s two branches start
+    from the same environment and their exits are joined name by name
+    (:func:`_join`); loops, ``try`` and ``with`` bodies share one
     environment (last writer wins) — sound enough for a lint whose
-    rules only fire on *declared* domains.
+    rules only fire on *declared* domains.  Call targets and receiver
+    classes are the call graph's: the function's scanner
+    (:attr:`CallGraph.scanners`) resolved them when it scanned the body.
     """
 
     def __init__(self, analysis: "DomainAnalysis", info: FunctionInfo):
         self.analysis = analysis
         self.graph = analysis.graph
+        self.scanner = analysis.graph.scanners[info.qualname]
         self.info = info
         self.module = analysis.codebase.modules[info.module]
-        self.imports = analysis.codebase.import_table(self.module)
         self.env: dict[str, str] = {}
-        self.types: dict[str, str] = {}  # local name → class qualname
-        self.callables: dict[str, str] = {}  # local alias → function qualname
         self.events: list[DomainEvent] = []
         self.return_domain: str | None = None
         self.record = False
@@ -267,23 +276,13 @@ class _FlowScan:
     # -- entry ----------------------------------------------------------
 
     def run(self, record: bool) -> _Flow:
-        params = self.analysis.param_pins.get(self.info.qualname, {})
-        node = self.info.node
-        for arg in list(node.args.posonlyargs) + list(node.args.args) + list(
-            node.args.kwonlyargs
-        ):
-            cls = self.graph.resolve_annotation(self.module, arg.annotation)
-            if cls is not None:
-                self.types[arg.arg] = cls
-            pinned = params.get(arg.arg)
-            if pinned is not None:
-                self.env[arg.arg] = pinned
+        self.env.update(self.analysis.param_pins.get(self.info.qualname, {}))
         passes = 2 if record else 1
         for final in range(passes):
             self.record = record and final == passes - 1
             self.events = []
             self.return_domain = None
-            for stmt in node.body:
+            for stmt in self.info.node.body:
                 self._stmt(stmt)
         return _Flow(self.return_domain or PLAIN, self.events)
 
@@ -307,13 +306,9 @@ class _FlowScan:
         if isinstance(stmt, ast.Assign):
             value = self._dom(stmt.value)
             for target in stmt.targets:
-                self._assign(target, stmt.value, value)
+                self._assign(target, value)
         elif isinstance(stmt, ast.AnnAssign):
-            value = self._dom(stmt.value) if stmt.value is not None else PLAIN
-            cls = self.graph.resolve_annotation(self.module, stmt.annotation)
-            if cls is not None and isinstance(stmt.target, ast.Name):
-                self.types[stmt.target.id] = cls
-            self._assign(stmt.target, stmt.value, value)
+            self._assign(stmt.target, self._dom(stmt.value))
         elif isinstance(stmt, ast.AugAssign):
             if isinstance(stmt.target, ast.Name):
                 current = self.env.get(stmt.target.id, PLAIN)
@@ -344,8 +339,16 @@ class _FlowScan:
                 self._stmt(child)
         elif isinstance(stmt, ast.If):
             self._dom(stmt.test)
-            for child in stmt.body + stmt.orelse:
+            entry = dict(self.env)
+            for child in stmt.body:
                 self._stmt(child)
+            taken, self.env = self.env, entry
+            for child in stmt.orelse:
+                self._stmt(child)
+            for name in sorted(taken.keys() | self.env.keys()):
+                self.env[name] = _join(
+                    self._lookup(taken, name), self._lookup(self.env, name)
+                )
         elif isinstance(stmt, ast.With):
             for item in stmt.items:
                 self._dom(item.context_expr)
@@ -367,19 +370,10 @@ class _FlowScan:
                     self._dom(child)
         # Nested defs/classes/imports don't carry domains across.
 
-    def _assign(
-        self, target: ast.expr, value_node: ast.expr | None, value: str
-    ) -> None:
+    def _assign(self, target: ast.expr, value: str) -> None:
         if isinstance(target, ast.Name):
             pinned = self.analysis.local_pin(self.module, target.lineno)
             self.env[target.id] = pinned if pinned is not None else value
-            if value_node is not None:
-                cls = self._class_of(value_node)
-                if cls is not None:
-                    self.types[target.id] = cls
-                qualname = self._callable_of(value_node)
-                if qualname is not None:
-                    self.callables[target.id] = qualname
         elif isinstance(target, ast.Subscript):
             elem = self._subscript_domain(target, store=True)
             if (
@@ -402,17 +396,20 @@ class _FlowScan:
 
     # -- expression domains ------------------------------------------------
 
+    def _lookup(self, env: dict[str, str], name: str) -> str:
+        spec = env.get(name)
+        if spec is not None:
+            return spec
+        return self.analysis.global_domain(self.module, name)
+
     def _dom(self, node: ast.expr | None) -> str:
         if node is None:
             return PLAIN
         if isinstance(node, ast.Name):
-            spec = self.env.get(node.id)
-            if spec is not None:
-                return spec
-            return self.analysis.global_domain(self.module, node.id)
+            return self._lookup(self.env, node.id)
         if isinstance(node, ast.Attribute):
             self._dom(node.value)
-            cls = self._class_of(node.value)
+            _, cls = self.scanner._resolve_chain(node.value)
             if cls is not None:
                 spec = self.analysis.attr_domain(cls, node.attr)
                 if spec is not None:
@@ -465,7 +462,11 @@ class _FlowScan:
             self._dom(node.body)
             return PLAIN
         if isinstance(node, ast.UnaryOp):
-            self._dom(node.operand)
+            operand = self._dom(node.operand)
+            if isinstance(node.op, ast.Invert) and _is_mask(operand):
+                # The complement holds every id the mask lacks, members
+                # of no word among them: an unrestricted pool.
+                return f"bitset-pool:{_role(operand)}"
             return PLAIN
         if isinstance(node, ast.JoinedStr):
             return PLAIN
@@ -526,78 +527,6 @@ class _FlowScan:
 
     # -- calls -------------------------------------------------------------
 
-    def _class_of(self, node: ast.expr) -> str | None:
-        """The codebase class an expression evaluates to, if trackable."""
-        if isinstance(node, ast.Name):
-            if node.id == self.info.self_name and self.info.cls is not None:
-                return self.info.cls
-            return self.types.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = self._class_of(node.value)
-            if base is not None:
-                found = self.graph.attr_types.get(base, {}).get(node.attr)
-                if found is not None:
-                    return found
-            return None
-        if isinstance(node, ast.Call):
-            qualname = self._resolve_call(node)
-            if qualname is None:
-                return None
-            if qualname in self.analysis.codebase.classes():
-                return qualname
-            info = self.graph.functions.get(qualname)
-            if info is not None:
-                return self.graph.resolve_annotation(
-                    self.analysis.codebase.modules[info.module],
-                    info.node.returns,
-                )
-        return None
-
-    def _callable_of(self, node: ast.expr) -> str | None:
-        """Function qualname an (un-called) expression is an alias of."""
-        if isinstance(node, ast.Attribute):
-            cls = self._class_of(node.value)
-            if cls is not None:
-                return self.graph.resolve_method(cls, node.attr)
-            dotted = self.analysis.codebase.resolve_name(self.module, node)
-            if dotted in self.graph.functions:
-                return dotted
-        if isinstance(node, ast.Name):
-            return self._named_function(node.id)
-        return None
-
-    def _named_function(self, name: str) -> str | None:
-        if name in self.callables:
-            return self.callables[name]
-        classes = self.analysis.codebase.classes()
-        local = f"{self.module.name}.{name}"
-        if local in self.graph.functions or local in classes:
-            return local
-        imported = self.imports.get(name)
-        if imported is not None and (
-            imported in self.graph.functions or imported in classes
-        ):
-            return imported
-        return None
-
-    def _resolve_call(self, node: ast.Call) -> str | None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            return self._named_function(func.id)
-        if isinstance(func, ast.Attribute):
-            cls = self._class_of(func.value)
-            if cls is not None:
-                resolved = self.graph.resolve_method(cls, func.attr)
-                if resolved is not None:
-                    return resolved
-            dotted = self.analysis.codebase.resolve_name(self.module, func)
-            if dotted is not None and (
-                dotted in self.graph.functions
-                or dotted in self.analysis.codebase.classes()
-            ):
-                return dotted
-        return None
-
     def _call_domain(self, node: ast.Call) -> str:
         func = node.func
         args = node.args
@@ -626,7 +555,8 @@ class _FlowScan:
                     return _elem_of(receiver)
                 return PLAIN
 
-        qualname = self._resolve_call(node)
+        site = self.scanner.sites.get(node)
+        qualname = site.target if site is not None else None
 
         # The kernel bitset primitives are modelled natively.
         if qualname is not None:
@@ -1020,7 +950,7 @@ class DomainAnalysis:
                             (info.module, info.node.lineno, entry)
                         )
             # Attribute pins on self-assignments, local-assignment pins.
-            for node in ast.walk(info.node):
+            for node in self.graph.scanners[qualname].nodes:
                 targets: list[ast.expr] = []
                 if isinstance(node, ast.Assign):
                     targets = node.targets

@@ -110,34 +110,27 @@ class EffectPurityPropagationChecker(Checker):
                 )
 
 
-def _assignment_pure_classes(
-    codebase: Codebase, config: LintConfig
-) -> list[str]:
+def _assignment_pure_classes(codebase: Codebase) -> list[str]:
     """Classes declaring ``_assignment_pure`` (constant or property)."""
     flagged: list[str] = []
-    for module in codebase.iter_modules((config.package,)):
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for child in node.body:
-                declares = False
-                if isinstance(child, ast.Assign):
-                    declares = any(
-                        isinstance(t, ast.Name) and t.id == "_assignment_pure"
-                        for t in child.targets
-                    )
-                elif isinstance(child, ast.AnnAssign):
-                    declares = (
-                        isinstance(child.target, ast.Name)
-                        and child.target.id == "_assignment_pure"
-                    )
-                elif isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    declares = child.name == "_assignment_pure"
-                if declares:
-                    flagged.append(f"{module.name}.{node.name}")
-                    break
+    for qualname, info in codebase.classes().items():
+        for child in info.node.body:
+            declares = False
+            if isinstance(child, ast.Assign):
+                declares = any(
+                    isinstance(t, ast.Name) and t.id == "_assignment_pure"
+                    for t in child.targets
+                )
+            elif isinstance(child, ast.AnnAssign):
+                declares = (
+                    isinstance(child.target, ast.Name)
+                    and child.target.id == "_assignment_pure"
+                )
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                declares = child.name == "_assignment_pure"
+            if declares:
+                flagged.append(qualname)
+                break
     return sorted(flagged)
 
 
@@ -154,7 +147,7 @@ class EffectAssignmentPurityChecker(Checker):
         analysis = analysis_for(codebase, config)
         graph = analysis.graph
         targets: dict[str, str] = {}  # _evaluate qualname → flagged class
-        for cls in _assignment_pure_classes(codebase, config):
+        for cls in _assignment_pure_classes(codebase):
             for candidate in sorted({cls} | codebase.subclasses(cls)):
                 evaluate = graph.resolve_method(candidate, "_evaluate")
                 if evaluate is not None:

@@ -161,6 +161,7 @@ class ClassInfo:
     frozen: bool
     # (field name, annotation source text, line) per annotated field.
     fields: tuple[tuple[str, str, int], ...]
+    node: ast.ClassDef = field(repr=False, compare=False)
 
 
 def _dataclass_facts(node: ast.ClassDef) -> tuple[bool, bool]:
@@ -304,7 +305,7 @@ class Codebase:
                         qualname = f"{module.name}.{node.name}"
                         self._classes[qualname] = ClassInfo(
                             qualname, module.name, node.name, node.lineno,
-                            (), False, False, (),
+                            (), False, False, (), node,
                         )
             for module, node in declared:
                 bases = []
@@ -325,7 +326,7 @@ class Codebase:
                 qualname = f"{module.name}.{node.name}"
                 self._classes[qualname] = ClassInfo(
                     qualname, module.name, node.name, node.lineno,
-                    tuple(bases), is_dataclass, frozen, fields,
+                    tuple(bases), is_dataclass, frozen, fields, node,
                 )
         return self._classes
 
@@ -471,14 +472,14 @@ class LintConfig:
     task_roots: tuple[str, ...] = ()
     # Entry points that may execute on two or more threads at once —
     # the serve daemon's handler threads (one per connection, all running
-    # the same code) plus the lifecycle calls that race against them.
-    # Globs over function qualnames are allowed: the ``op_*`` handlers
-    # are reached through a ``getattr`` dispatch the call graph cannot
-    # resolve, so they are enumerated as roots of their own.
+    # the same code) plus the lifecycle call that races against them.
+    # Only what the call graph cannot reach from ``handle`` is listed:
+    # the ``op_*`` handlers (a ``getattr`` dispatch; globs over function
+    # qualnames are allowed) and ``dispatch`` (``self.service`` is bound
+    # through a conditional expression the constructor typing does not
+    # follow).
     thread_roots: tuple[str, ...] = (
         "repro.serve.daemon._Handler.handle",
-        "repro.serve.daemon.ReproServer.answer",
-        "repro.serve.daemon.ReproServer.begin_shutdown",
         "repro.serve.daemon.ReproServer.server_close",
         "repro.serve.service.QueryService.dispatch",
         "repro.serve.service.QueryService.op_*",

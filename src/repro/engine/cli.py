@@ -65,6 +65,14 @@ def write_engine_report(
     return target
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a width: an integer, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def add_run_parser(commands: argparse._SubParsersAction) -> None:
     run = commands.add_parser(
         "run",
@@ -76,13 +84,13 @@ def add_run_parser(commands: argparse._SubParsersAction) -> None:
     )
     run.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=max(1, os.cpu_count() or 1),
         help="worker processes (default: CPU count)",
     )
     run.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(

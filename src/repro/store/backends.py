@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -108,7 +109,7 @@ class SqliteBackend:
                 isolation_level=None,  # autocommit: one upsert, one txn
                 check_same_thread=False,  # the serve daemon is threaded
             )
-            conn.execute("PRAGMA journal_mode=WAL")
+            self._switch_to_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS artifacts ("
@@ -117,6 +118,22 @@ class SqliteBackend:
             self._conn = conn
             self._pid = pid
         return self._conn
+
+    def _switch_to_wal(self, conn: sqlite3.Connection) -> None:
+        # While another connection holds a write lock on a fresh file,
+        # sqlite refuses the switch to WAL at once ("database is
+        # locked") without calling the busy handler, so ``timeout``
+        # alone does not cover it: retry that error until the timeout
+        # runs out.  Any other error raises at once.
+        deadline = time.monotonic() + self._timeout_s
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+            time.sleep(0.005)
 
     def get(self, key: str) -> bytes | None:
         row = self._connection().execute(

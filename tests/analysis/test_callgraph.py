@@ -134,6 +134,31 @@ def test_bound_method_alias_resolves(tmp_path):
     assert aliased.receiver == "self"
 
 
+def test_annotated_local_types_its_receiver(tmp_path):
+    """``x: "C" = self.c`` types ``x`` where the value alone cannot."""
+    graph = graph_for(tmp_path, {
+        "fixpkg/low/base.py": """\
+            class C:
+                def m(self):
+                    return 1
+
+
+            class Holder:
+                def __init__(self, c):
+                    self.c = c
+
+                def run(self):
+                    x: "C" = self.c
+                    return x.m()
+            """,
+    })
+    call = site(
+        graph, "fixpkg.low.base.Holder.run", lambda s: s.display == "x.m()"
+    )
+    assert call.target == "fixpkg.low.base.C.m"
+    assert call.receiver == "self"
+
+
 def test_store_roots_and_kw_roots(tmp_path):
     graph = graph_for(tmp_path, {
         "fixpkg/low/base.py": """\

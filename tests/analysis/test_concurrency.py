@@ -12,7 +12,9 @@ from repro.analysis.concurrency import (
     ForkSafetyChecker,
     GuardedByChecker,
     SharedStateRaceChecker,
+    concurrency_for,
 )
+from repro.analysis.framework import Codebase, default_config
 
 from tests.analysis.util import build
 
@@ -673,3 +675,18 @@ def test_module_dict_cell_increment_is_flagged(tmp_path):
     assert len(found) == 1
     assert "read-modify-write" in found[0].message
     assert "_CELL" in found[0].message
+
+
+# -- thread roots on this repository -----------------------------------------
+
+
+def test_daemon_handler_reaches_the_server_calls_it_makes():
+    """``server: "ReproServer" = self.server`` types the handler's local,
+    so ``answer`` and ``begin_shutdown`` need no thread root of their own."""
+    config = default_config()
+    conc = concurrency_for(Codebase(config.src_root, config.package), config)
+    handle = "repro.serve.daemon._Handler.handle"
+    for method in ("answer", "begin_shutdown"):
+        qualname = f"repro.serve.daemon.ReproServer.{method}"
+        assert conc.thread_parents[qualname] == handle
+        assert qualname not in config.thread_roots

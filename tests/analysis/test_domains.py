@@ -322,6 +322,57 @@ def test_witnessing_an_unrestricted_pool_records_escape(tmp_path):
     assert "bitset-pool:sweep" in message
 
 
+def test_if_branches_join_so_a_pool_survives_a_narrowing_branch(tmp_path):
+    analysis = analysis_of(tmp_path, {
+        "fixpkg/low/bits.py": BITSET,
+        "fixpkg/low/base.py": """\
+            from fixpkg.low import bits
+
+
+            # repro-lint: domain[returns=intern:sweep] the mint
+            def intern(text):
+                return 0
+
+
+            # repro-lint: domain[returns=bitset-universe:sweep] member mask
+            def member_mask():
+                return bits.declare_universe(3, "sweep")
+
+
+            def witness(text, narrow):
+                candidates = 1 << intern(text)
+                if narrow:
+                    candidates = member_mask()
+                return sorted(bits.iter_ids(candidates))
+            """,
+    })
+    # Only one path restricts the pool: the join keeps the pool.
+    [(kind, message)] = events_of(analysis, "fixpkg.low.base.witness")
+    assert kind == "escape"
+    assert "bitset-pool:sweep" in message
+
+
+def test_complement_of_a_mask_is_a_pool(tmp_path):
+    analysis = analysis_of(tmp_path, {
+        "fixpkg/low/bits.py": BITSET,
+        "fixpkg/low/base.py": """\
+            from fixpkg.low import bits
+
+
+            # repro-lint: domain[returns=bitset-universe:sweep] member mask
+            def member_mask():
+                return bits.declare_universe(3, "sweep")
+
+
+            def outside():
+                return sorted(bits.iter_ids(~member_mask()))
+            """,
+    })
+    [(kind, message)] = events_of(analysis, "fixpkg.low.base.outside")
+    assert kind == "escape"
+    assert "bitset-pool:sweep" in message
+
+
 def test_unpinned_modules_stay_out_of_scope(tmp_path):
     analysis = analysis_of(tmp_path, {
         "fixpkg/low/base.py": """\

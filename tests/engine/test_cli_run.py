@@ -83,6 +83,16 @@ def test_run_unknown_only_exits(tmp_path):
         main(["run", "--only", "E99", "--cache-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize("flag", ["--jobs", "--shards"])
+def test_run_width_below_one_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--only", "E01", flag, "0"])
+    assert exited.value.code == 2
+    assert f"argument {flag}: must be at least 1, got 0" in (
+        capsys.readouterr().err
+    )
+
+
 def test_run_list(capsys):
     assert main(["run", "--list"]) == 0
     out = capsys.readouterr().out

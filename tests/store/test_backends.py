@@ -1,6 +1,8 @@
 """Backend contract tests: memory, sqlite, spec resolution, concurrency."""
 
 import multiprocessing
+import sqlite3
+import threading
 
 import pytest
 
@@ -99,6 +101,26 @@ def test_concurrent_writers_do_not_corrupt(tmp_path):
             f"shared from {worker}".encode() for worker in range(workers)
         }
     finally:
+        backend.close()
+
+
+def test_wal_switch_waits_for_a_writer_on_a_fresh_file(tmp_path):
+    # sqlite answers the WAL switch with "database is locked" at once
+    # while another connection holds a write lock on a fresh file.
+    path = tmp_path / "artifacts.sqlite"
+    holder = sqlite3.connect(
+        path, isolation_level=None, check_same_thread=False
+    )
+    holder.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.3, holder.execute, args=("COMMIT",))
+    release.start()
+    backend = SqliteBackend(path)
+    try:
+        backend.put(KEY_A, b"after the writer")
+        assert backend.get(KEY_A) == b"after the writer"
+    finally:
+        release.join()
+        holder.close()
         backend.close()
 
 
